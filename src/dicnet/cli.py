@@ -25,9 +25,8 @@ from .model import validate_network
 from .oracle import (EnumerationGuard, check_properties, enumerate_schedules,
                      exact_policy_value, greedy_adaptive_value,
                      optimal_adaptive_value)
-from .strategies import (a_greedy_policy, h_greedy_prune, pattern_a0,
-                         random_policy, restricted_greedy_factory,
-                         static_greedy_select, static_seed_factory)
+from .strategies import (AGreedyPolicy, RandomPolicy, h_greedy_prune,
+                         pattern_a0, static_greedy_select, static_seed_factory)
 
 CSV_HEADER = ("strategy,budget,replication,spread,rounds_used,seeds_used,"
               "gain_evaluations,wall_time_ms,master_seed")
@@ -62,6 +61,7 @@ def parse_budgets(text: str) -> list[int]:
 
 
 def _resolve_network(args, budget: int):
+    """The configured network with the given seeding budget."""
     preset = parse_preset(args.preset, args.activation)
     if args.net:
         net = load_network(args.net)
@@ -70,21 +70,31 @@ def _resolve_network(args, budget: int):
             net = dataclasses.replace(
                 net, edges=edges,
                 activation=(preset.activation,) * net.node_count)
-        return dataclasses.replace(net, budget=budget)
-    if args.gen:
+    elif args.gen:
         try:
             n_s, m_s, s_s = args.gen.split(",")
             n, m, s = int(n_s), int(m_s), int(s_s)
         except ValueError:
             raise ConfigError(f"bad --gen spec {args.gen!r}") from None
-        return generate_power_law(n, m, s, preset, budget)
-    if args.fixture == "g1":
+        net = generate_power_law(n, m, s, preset, budget=1)
+    elif args.fixture == "g1":
         net = fixture_g1()
     elif args.fixture == "two-node":
         net = two_node_fixture()
     else:
         raise ConfigError(f"unknown fixture {args.fixture!r}")
+    if not 1 <= budget <= net.node_count:
+        raise ConfigError(f"budget {budget} outside [1, {net.node_count}]")
     return dataclasses.replace(net, budget=budget)
+
+
+def _sample_size(args, name: str) -> int:
+    """A Monte Carlo sample size from the flags or the config file."""
+    value = getattr(args, name)
+    if type(value) is not int or value < 1:
+        flag = "--" + name.replace("_", "-")
+        raise ConfigError(f"{flag} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _make_factory(strategy: str, net, args):
@@ -92,22 +102,25 @@ def _make_factory(strategy: str, net, args):
     info = {}
     if strategy == "random":
         return functools.partial(
-            random_policy, pattern_a0(net.budget, net.node_count)), info
+            RandomPolicy, pattern_a0(net.budget, net.node_count)), info
     if strategy == "greedy":
         rng = substream(args.seed, net.budget, _PURPOSE_SELECT)
-        seeds, evals = static_greedy_select(net, net.budget, args.R, rng)
+        seeds, evals = static_greedy_select(net, net.budget,
+                                            _sample_size(args, "R"), rng)
         info["selected_seeds"] = seeds
         info["selection_gain_evaluations"] = evals
         return functools.partial(static_seed_factory, tuple(seeds)), info
     if strategy == "a-greedy":
-        return functools.partial(a_greedy_policy, net, args.R), info
+        return functools.partial(AGreedyPolicy, net,
+                                 _sample_size(args, "R")), info
     if strategy == "h-greedy":
+        replications = _sample_size(args, "R")
         rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
-        candidates, stats = h_greedy_prune(net, args.R_pre, rng)
+        candidates, stats = h_greedy_prune(net, _sample_size(args, "R_pre"), rng)
         info["pruned_fraction"] = stats["pruned_fraction"]
         info["candidates"] = len(candidates)
-        return functools.partial(
-            restricted_greedy_factory, net, args.R, candidates), info
+        return functools.partial(AGreedyPolicy, net, replications,
+                                 candidates=candidates), info
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -172,7 +185,7 @@ def cmd_prune_stats(args) -> int:
     budgets = parse_budgets(args.budgets)
     net = _resolve_network(args, budgets[0])
     rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
-    _, stats = h_greedy_prune(net, args.R_pre, rng)
+    _, stats = h_greedy_prune(net, _sample_size(args, "R_pre"), rng)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "estimate"])
@@ -197,12 +210,18 @@ class _EmptyPolicy:
         return None
 
 
-def _parse_oracle_policy(text: str):
+def _parse_oracle_policy(text: str, node_count: int):
     if text == "empty":
         return lambda: _EmptyPolicy()
     kind, _, arg = text.partition(":")
     if kind == "static":
-        seeds = tuple(int(t) for t in arg.split(","))
+        try:
+            seeds = tuple(int(t) for t in arg.split(","))
+        except ValueError:
+            raise ConfigError(f"bad static seed list {arg!r}") from None
+        bad = [v for v in seeds if not 0 <= v < node_count]
+        if bad:
+            raise ConfigError(f"static seeds {bad} outside [0, {node_count})")
         return lambda: static_seed_factory(seeds, None)
     raise ConfigError(f"unknown oracle policy {text!r}")
 
@@ -243,7 +262,7 @@ def cmd_oracle(args) -> int:
               f"[{'ok' if ok else 'VIOLATION'}]")
         return 0 if ok else 1
     if args.subject == "exact-value":
-        factory = _parse_oracle_policy(args.policy)
+        factory = _parse_oracle_policy(args.policy, net.node_count)
         value = exact_policy_value(net, factory)
         print(f"exact_value={value!r}")
         return 0

@@ -212,6 +212,8 @@ def _dist_to_json(dist: PropagationDistribution) -> dict:
 
 
 def _dist_from_json(obj: dict, where: str) -> PropagationDistribution:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: dist must be an object")
     try:
         kind = obj["type"]
         if kind == "fixed":
@@ -227,6 +229,8 @@ def _dist_from_json(obj: dict, where: str) -> PropagationDistribution:
             return quantize_exponential(float(obj["mean"]), int(obj["bins"]))
     except KeyError as exc:
         raise SchemaError(f"{where}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: bad dist: {exc}") from None
     raise SchemaError(f"{where}: unknown dist type {kind!r}")
 
 
@@ -251,22 +255,35 @@ def load_network(path: str) -> DicNetwork:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top-level value must be an object")
     for field in ("nodes", "budget", "activation", "edges"):
         if field not in doc:
             raise SchemaError(f"{path}: missing field {field!r}")
-    n = int(doc["nodes"])
-    act = doc["activation"]
-    activation = ((float(act),) * n if isinstance(act, (int, float))
-                  else tuple(float(a) for a in act))
+    if not isinstance(doc["edges"], list):
+        raise SchemaError(f"{path}: edges must be a list")
+    try:
+        n = int(doc["nodes"])
+        budget = int(doc["budget"])
+        act = doc["activation"]
+        activation = ((float(act),) * n if isinstance(act, (int, float))
+                      else tuple(float(a) for a in act))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad nodes, budget or activation: {exc}") from None
     edges = []
     for i, e in enumerate(doc["edges"]):
         where = f"{path}: edges[{i}]"
+        if not isinstance(e, dict):
+            raise SchemaError(f"{where}: edge must be an object")
         for field in ("src", "dst", "dist"):
             if field not in e:
                 raise SchemaError(f"{where}: missing field {field!r}")
-        edges.append((int(e["src"]), int(e["dst"]),
-                      _dist_from_json(e["dist"], where)))
-    net = DicNetwork(n, activation, tuple(edges), int(doc["budget"]))
+        try:
+            ends = int(e["src"]), int(e["dst"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: bad endpoint: {exc}") from None
+        edges.append((*ends, _dist_from_json(e["dist"], where)))
+    net = DicNetwork(n, activation, tuple(edges), budget)
     problem = validate_network(net)
     if problem:
         raise SchemaError(f"{path}: {problem}")

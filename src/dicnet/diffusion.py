@@ -38,8 +38,11 @@ class DiffusionState:
     _x: FullRealization = field(repr=False, default=None)
 
 
-def _is_quiescent(net: DicNetwork, partial: PartialRealization, frontier) -> bool:
-    for u in frontier:
+def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
+    """True when no node of `nodes` has an unresolved edge to an inactive
+    node.  Over the frontier this says whether the cascade can still move;
+    over the whole active set it is the observable quiescence test."""
+    for u in nodes:
         for eidx, w in net.out_edges[u]:
             if w not in partial.active and eidx not in partial.resolved_attempts:
                 return False
@@ -88,7 +91,7 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     partial.round_index += 1
     state.frontier = newly
     state.budget_used += len(cmd.nodes)
-    state.quiescent = _is_quiescent(net, partial, newly)
+    state.quiescent = is_quiescent(net, partial, newly)
     return state
 
 

@@ -23,11 +23,17 @@ PURPOSE_WORLD = 0
 PURPOSE_POLICY = 1
 
 _MASK = (1 << 64) - 1
+INDEX_LIMIT = 1 << 56       # the key packs (index << 8) | purpose into 64 bits
 
 
 def substream(master_seed: int, index: int, purpose: int = 0):
     """Independent generator for one replication, derived from the key alone
-    (counter-based, so no state is shared between indices)."""
+    (counter-based, so no state is shared between indices).  Distinct
+    (index, purpose) pairs in [0, 2**56) x [0, 256) give distinct streams."""
+    if not 0 <= index < INDEX_LIMIT:
+        raise ValueError(f"stream index {index} outside [0, 2**56)")
+    if not 0 <= purpose < 256:
+        raise ValueError(f"stream purpose {purpose} outside [0, 256)")
     key = np.array([master_seed & _MASK,
                     ((index << 8) | (purpose & 0xFF)) & _MASK],
                    dtype=np.uint64)
@@ -141,6 +147,13 @@ def _sum_chunk(net: DicNetwork, policy_factory, master_seed: int,
     return total
 
 
+def _check_replications(replications: int):
+    """Replication indices must stay below INDEX_LIMIT so that every
+    replication gets its own streams; checked once per call."""
+    if not 1 <= replications <= INDEX_LIMIT:
+        raise ValueError(f"replications must be in [1, 2**56], got {replications}")
+
+
 def run_replications(net: DicNetwork, policy_factory, replications: int,
                      master_seed: int, workers: int = 1) -> list[ReplicationResult]:
     """One policy run per replication, in replication order.
@@ -148,8 +161,7 @@ def run_replications(net: DicNetwork, policy_factory, replications: int,
     `policy_factory(rng) -> policy` must be picklable when workers > 1
     (a module-level function or functools.partial of one).
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    _check_replications(replications)
     if workers <= 1:
         return _run_chunk(net, policy_factory, master_seed, 0, replications)
     chunk = max(1, -(-replications // (workers * 4)))
@@ -169,8 +181,7 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
                            workers: int = 1) -> Estimate:
     """Mean spread of the policy over `replications` independent realizations,
     with a Hoeffding half-width at confidence 1 - delta."""
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    _check_replications(replications)
     if workers <= 1:
         total = _sum_chunk(net, policy_factory, master_seed, 0, replications)
     else:

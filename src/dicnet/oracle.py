@@ -14,9 +14,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .diffusion import SeedCommand, run_policy, spread_count
+from .diffusion import EMPTY_COMMAND, SeedCommand, run_policy, spread_count
 from .model import DicNetwork
 from .realization import FullRealization, PartialRealization, sample_full
+from .strategies import _eligible_nodes, observably_quiescent
 
 ENUMERATION_GUARD = 2 ** 24
 GAIN_EDGE_GUARD = 20
@@ -265,14 +266,20 @@ def _check_guard(net: DicNetwork):
         raise EnumerationGuard(count)
 
 
-def _greedy_chooser(net, belief, eligible):
-    active, _, used, _ = belief
+def _exact_argmax(net: DicNetwork, active, blocked, eligible):
+    """The eligible node with the largest exact marginal gain; ties (within
+    1e-12) go to the earliest in `eligible`."""
     best, best_gain = None, -1.0
     for v in eligible:
-        gain = exact_marginal_gain_from_parts(net, active, used, v)
+        gain = exact_marginal_gain_from_parts(net, active, blocked, v)
         if gain > best_gain + 1e-12:
             best, best_gain = v, gain
     return best
+
+
+def _greedy_chooser(net, belief, eligible):
+    active, _, used, _ = belief
+    return _exact_argmax(net, active, used, eligible)
 
 
 class ExactGainPolicy:
@@ -291,23 +298,14 @@ class ExactGainPolicy:
     def decide(self, net, partial, remaining):
         if remaining <= 0:
             return None
-        for u in partial.active:
-            for eidx, w in net.out_edges[u]:
-                if w not in partial.active and eidx not in partial.resolved_attempts:
-                    return SeedCommand(frozenset())
-        elig = [v for v in range(net.node_count)
-                if v not in partial.active
-                and len(partial.attempts[v]) < net.budget]
+        if not observably_quiescent(net, partial):
+            return EMPTY_COMMAND
+        elig = _eligible_nodes(net, partial)
         if not elig:
             return None
-        active = frozenset(partial.active)
-        blocked = frozenset(partial.resolved_attempts)
-        best, best_gain = None, -1.0
-        for v in elig:
-            gain = exact_marginal_gain_from_parts(net, active, blocked, v)
-            self.gain_evaluations += 1
-            if gain > best_gain + 1e-12:
-                best, best_gain = v, gain
+        self.gain_evaluations += len(elig)
+        best = _exact_argmax(net, frozenset(partial.active),
+                             frozenset(partial.resolved_attempts), elig)
         self.selections.append(best)
         return SeedCommand(frozenset({best}))
 

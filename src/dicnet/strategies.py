@@ -8,14 +8,13 @@ and returns a SeedCommand (empty = wait a round) or None to stop.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import EMPTY_COMMAND, SeedCommand
+from .diffusion import EMPTY_COMMAND, SeedCommand, is_quiescent
 from .model import DicNetwork
-from .realization import PartialRealization, empty_partial
+from .realization import PartialRealization
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,7 @@ def pattern_a0(budget: int, n: int) -> SeedingPattern:
 def observably_quiescent(net: DicNetwork, partial: PartialRealization) -> bool:
     """True when no active node has an unresolved edge to an inactive node,
     i.e. the cascade cannot move without new seeds."""
-    for u in partial.active:
-        for eidx, w in net.out_edges[u]:
-            if w not in partial.active and eidx not in partial.resolved_attempts:
-                return False
-    return True
+    return is_quiescent(net, partial, partial.active)
 
 
 def _eligible_nodes(net: DicNetwork, partial: PartialRealization, candidates=None):
@@ -102,10 +97,6 @@ class RandomPolicy:
         return SeedCommand(frozenset(int(v) for v in picks))
 
 
-def random_policy(pattern: SeedingPattern, rng) -> RandomPolicy:
-    return RandomPolicy(pattern, rng)
-
-
 class StaticSeedListPolicy:
     """Executes a precomputed seed list in a single opening step."""
 
@@ -122,6 +113,23 @@ class StaticSeedListPolicy:
         if not take:
             return None
         return SeedCommand(frozenset(take))
+
+
+# module-level so that functools.partial(...) of it pickles for workers
+def static_seed_factory(seeds, rng):
+    return StaticSeedListPolicy(seeds)
+
+
+# ---------------------------------------------------------------------------
+# live-edge world engine
+#
+# A world is one draw of every edge's single attempt, each edge live with its
+# mean propagation probability, stored as {source: [target, ...]} over the
+# live edges.  Every greedy strategy scores candidates by how many nodes they
+# reach in a shared batch of worlds (common random numbers).
+# ---------------------------------------------------------------------------
+
+_LIVE_EDGE_SLICE = 4096     # live edges turned into Python ints at a time
 
 
 def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
@@ -144,94 +152,59 @@ def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-class StepGainEvaluator:
-    """Shared-sample marginal-gain estimator for one seeding step.
+def _add_live_edges(worlds, net: DicNetwork, rows, edges):
+    """Append live edge `edges[i]` to world `rows[i]`, in order.  Converts a
+    slice at a time so the Python-int copies never span the whole draw."""
+    src, dst, _ = net.edge_arrays
+    for lo in range(0, len(rows), _LIVE_EDGE_SLICE):
+        part = edges[lo:lo + _LIVE_EDGE_SLICE]
+        for r, u, w in zip(rows[lo:lo + _LIVE_EDGE_SLICE].tolist(),
+                           src[part].tolist(), dst[part].tolist()):
+            worlds[r].setdefault(u, []).append(w)
 
-    Samples R live-edge worlds over the currently inactive part of the graph
-    (each fresh edge is live with its mean propagation probability) and scores
-    a candidate as activation probability times the average number of nodes it
-    reaches.  All candidates share the same worlds, so within a step the
-    estimate is a deterministic function of (seed, candidate).
+
+def sample_worlds(net: DicNetwork, replications: int, rng) -> list[dict]:
+    """`replications` live-edge worlds, drawn sparsely: one Bernoulli grid
+    per distinct edge mean, on a Philox stream keyed by one draw from rng."""
+    seed = int(rng.integers(0, 2 ** 63))
+    worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    means = net.edge_arrays[2]
+    for p in np.unique(means):
+        group = np.flatnonzero(means == p)
+        g = len(group)
+        positions = _bernoulli_positions(gen, replications * g, float(p))
+        _add_live_edges(worlds, net, positions // g, group[positions % g])
+    return worlds
+
+
+def _reach(adj, v: int, excluded) -> set[int]:
+    """Nodes reachable from v over the world's live edges without entering
+    a node of `excluded` (v included)."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen and w not in excluded:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def world_gain(net: DicNetwork, worlds, v: int, active) -> float:
+    """Estimated conditional marginal gain of seeding v now: its activation
+    probability times the mean number of inactive nodes it reaches per world
+    (v included).
+
+    Conditioning on the active set alone is exact.  An edge's single attempt
+    is made by its source while that source is in the frontier, and draws are
+    revealed only on out-edges of active nodes; a reach that never enters an
+    active node therefore never meets an observed edge.
     """
-
-    def __init__(self, net: DicNetwork, partial: PartialRealization,
-                 replications: int, seed: int):
-        self.net = net
-        self.replications = replications
-        self.evaluations = 0
-        src, dst, means = net.edge_arrays
-        m = len(net.edges)
-        self.worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
-        if m == 0:
-            return
-        active_mask = np.zeros(net.node_count, dtype=bool)
-        if partial.active:
-            active_mask[list(partial.active)] = True
-        fresh_mask = ~active_mask[src] & ~active_mask[dst]
-        if partial.resolved_attempts:
-            fresh_mask[list(partial.resolved_attempts)] = False
-        fresh = np.nonzero(fresh_mask)[0]
-        if len(fresh) == 0:
-            return
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        # sample live edges sparsely, one Bernoulli grid per distinct mean
-        fresh_means = means[fresh]
-        for p in np.unique(fresh_means):
-            group = fresh[fresh_means == p]
-            g = len(group)
-            positions = _bernoulli_positions(rng, replications * g, float(p))
-            for pos in positions:
-                e = group[pos % g]
-                adj = self.worlds[pos // g]
-                adj.setdefault(int(src[e]), []).append(int(dst[e]))
-
-    def gain(self, v: int) -> float:
-        self.evaluations += 1
-        total = 0
-        for adj in self.worlds:
-            if v not in adj:
-                total += 1
-                continue
-            reach = {v}
-            queue = deque((v,))
-            while queue:
-                u = queue.popleft()
-                for w in adj.get(u, ()):
-                    if w not in reach:
-                        reach.add(w)
-                        queue.append(w)
-            total += len(reach)
-        return self.net.activation[v] * total / self.replications
-
-
-def marginal_gain(net: DicNetwork, y: PartialRealization, v: int,
-                  replications: int, rng) -> float:
-    """Monte Carlo estimate of the expected number of nodes newly activated
-    by seeding v now (v included on seeding success), conditioned on y.
-
-    Each replication draws the seed-attempt bit and a fresh cascade through
-    the inactive region; a fresh edge fires with its mean propagation
-    probability, which is the exact conditional law of its single attempt.
-    """
-    p = net.activation[v]
-    active = y.active
-    blocked = y.resolved_attempts
     total = 0
-    for _ in range(replications):
-        if rng.random() >= p:
-            continue
-        reach = {v}
-        queue = deque((v,))
-        while queue:
-            u = queue.popleft()
-            for eidx, w in net.out_edges[u]:
-                if w in active or w in reach or eidx in blocked:
-                    continue
-                if rng.random() < net.edge_means[eidx]:
-                    reach.add(w)
-                    queue.append(w)
-        total += len(reach)
-    return total / replications
+    for adj in worlds:
+        total += len(_reach(adj, v, active)) if v in adj else 1
+    return net.activation[v] * total / len(worlds)
 
 
 class AGreedyPolicy:
@@ -239,11 +212,10 @@ class AGreedyPolicy:
     estimated conditional gain, using a lazy-forward queue over cached gains.
 
     All gains within one run are estimated on a single batch of live-edge
-    worlds sampled up front (common random numbers).  As observations
-    accumulate, each candidate's estimated gain can only shrink — the active
-    set and the spent-edge set both grow — so cached gains are valid upper
-    bounds and the lazy queue selects exactly the same node an exhaustive
-    re-evaluation would.
+    worlds sampled at the first decision (common random numbers).  As the
+    active set grows each candidate's estimated gain can only shrink, so
+    cached gains are valid upper bounds and the lazy queue selects exactly
+    the same node an exhaustive re-evaluation would.
     """
 
     def __init__(self, net: DicNetwork, replications: int, rng,
@@ -258,47 +230,12 @@ class AGreedyPolicy:
         self.gain_evaluations = 0
         self._heap: list = []          # (-gain, node, stamp)
         self._queued: set[int] = set()
-        self._worlds = None            # per world: {u: [(w, edge_idx), ...]}
+        self._worlds = None
         self.selections: list[int] = []
 
-    def _ensure_worlds(self):
-        if self._worlds is not None:
-            return
-        net = self.net
-        reps = self.replications
-        self._worlds = [{} for _ in range(reps)]
-        m = len(net.edges)
-        if m == 0:
-            return
-        seed = int(self.rng.integers(0, 2 ** 63))
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        src, dst, means = net.edge_arrays
-        order = np.arange(m)
-        for p in np.unique(means):
-            group = order[means == p]
-            g = len(group)
-            for pos in _bernoulli_positions(rng, reps * g, float(p)):
-                e = int(group[pos % g])
-                adj = self._worlds[pos // g]
-                adj.setdefault(int(src[e]), []).append((int(dst[e]), e))
-
-    def _gain(self, v, active, blocked):
+    def _gain(self, v, active):
         self.gain_evaluations += 1
-        total = 0
-        for adj in self._worlds:
-            if v not in adj:
-                total += 1
-                continue
-            reach = {v}
-            queue = deque((v,))
-            while queue:
-                u = queue.popleft()
-                for w, e in adj.get(u, ()):
-                    if w not in reach and w not in active and e not in blocked:
-                        reach.add(w)
-                        queue.append(w)
-            total += len(reach)
-        return self.net.activation[v] * total / self.replications
+        return world_gain(self.net, self._worlds, v, active)
 
     def decide(self, net, partial, remaining):
         if remaining <= 0:
@@ -308,13 +245,13 @@ class AGreedyPolicy:
         elig = _eligible_nodes(net, partial, self.candidates)
         if not elig:
             return None
-        self._ensure_worlds()
-        active, blocked = partial.active, partial.resolved_attempts
+        if self._worlds is None:
+            self._worlds = sample_worlds(self.net, self.replications, self.rng)
+        active = partial.active
         if self.celf:
             for v in elig:
                 if v not in self._queued:
-                    heapq.heappush(self._heap,
-                                   (-self._gain(v, active, blocked), v, self.step))
+                    heapq.heappush(self._heap, (-self._gain(v, active), v, self.step))
                     self._queued.add(v)
             elig_set = set(elig)
             while True:
@@ -325,24 +262,18 @@ class AGreedyPolicy:
                 if stamp == self.step:
                     chosen, chosen_gain = v, -neg_gain
                     break
-                heapq.heappush(self._heap,
-                               (-self._gain(v, active, blocked), v, self.step))
+                heapq.heappush(self._heap, (-self._gain(v, active), v, self.step))
             # keep the chosen node queued with its latest gain for later steps
             heapq.heappush(self._heap, (-chosen_gain, chosen, stamp))
         else:
             chosen, best = None, -1.0
             for v in elig:           # ascending ids: ties go to the smallest
-                g = self._gain(v, active, blocked)
+                g = self._gain(v, active)
                 if g > best:
                     chosen, best = v, g
         self.step += 1
         self.selections.append(chosen)
         return SeedCommand(frozenset({chosen}))
-
-
-def a_greedy_policy(net: DicNetwork, replications: int, rng,
-                    celf: bool = True) -> AGreedyPolicy:
-    return AGreedyPolicy(net, replications, rng, celf=celf)
 
 
 def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
@@ -352,9 +283,10 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     Returns (candidate set, stats) where stats carries the per-node
     estimates, the population mean/std, and the pruned fraction.
     """
-    seed = int(rng.integers(0, 2 ** 63))
-    ev = StepGainEvaluator(net, empty_partial(net), pre_replications, seed)
-    estimates = tuple(ev.gain(v) for v in range(net.node_count))
+    worlds = sample_worlds(net, pre_replications, rng)
+    nothing = frozenset()
+    estimates = tuple(world_gain(net, worlds, v, nothing)
+                      for v in range(net.node_count))
     mu = float(np.mean(estimates))
     sigma = float(np.std(estimates))
     threshold = mu - sigma
@@ -370,26 +302,6 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     return candidates, stats
 
 
-def h_greedy_policy(net: DicNetwork, replications: int, pre_replications: int,
-                    rng, celf: bool = True) -> AGreedyPolicy:
-    """Adaptive greedy restricted to the pruned candidate set."""
-    candidates, stats = h_greedy_prune(net, pre_replications, rng)
-    policy = AGreedyPolicy(net, replications, rng, celf=celf,
-                           candidates=candidates)
-    policy.prune_stats = stats
-    return policy
-
-
-# module-level factories so functools.partial(...) of them pickles for workers
-
-def static_seed_factory(seeds, rng):
-    return StaticSeedListPolicy(seeds)
-
-
-def restricted_greedy_factory(net, replications, candidates, rng):
-    return AGreedyPolicy(net, replications, rng, candidates=candidates)
-
-
 def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng,
                          include_seed_failure: bool = True):
     """Hill-climbing selection on the mean-field network.
@@ -399,48 +311,27 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng,
     seeded all at once.  Returns (ordered seed list, gain evaluation count).
     """
     n = net.node_count
-    m = len(net.edges)
-    means = np.array(net.edge_means) if m else np.empty(0)
-    live = rng.random((replications, m)) < means if m else np.zeros((replications, 0), bool)
+    live = rng.random((replications, len(net.edges))) < net.edge_arrays[2]
     if include_seed_failure:
         success = rng.random((replications, n)) < np.array(net.activation)
     else:
         success = np.ones((replications, n), bool)
-    ends = [(u, w) for u, w, _ in net.edges]
-    worlds = []
-    for r in range(replications):
-        adj: dict[int, list[int]] = {}
-        for i in np.nonzero(live[r])[0]:
-            u, w = ends[i]
-            adj.setdefault(u, []).append(w)
-        worlds.append(adj)
-
-    def reach(r: int, v: int, covered: set[int]):
-        out = set()
-        if v in covered:
-            return out
-        out.add(v)
-        queue = deque((v,))
-        adj = worlds[r]
-        while queue:
-            u = queue.popleft()
-            for w in adj.get(u, ()):
-                if w not in out and w not in covered:
-                    out.add(w)
-                    queue.append(w)
-        return out
-
+    worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
+    _add_live_edges(worlds, net, *np.nonzero(live))
     covered: list[set[int]] = [set() for _ in range(replications)]
     evaluations = 0
+
+    def new_reaches(v: int):
+        """(world, nodes v adds to that world's covered set) per world where
+        v's seeding succeeds and v is not covered yet."""
+        for r in np.flatnonzero(success[:, v]).tolist():
+            if v not in covered[r]:
+                yield r, _reach(worlds[r], v, covered[r])
 
     def evaluate(v: int) -> float:
         nonlocal evaluations
         evaluations += 1
-        total = 0
-        for r in range(replications):
-            if success[r, v]:
-                total += len(reach(r, v, covered[r]))
-        return total / replications
+        return sum(len(reached) for _, reached in new_reaches(v)) / replications
 
     heap = [(-evaluate(v), v, 0) for v in range(n)]
     heapq.heapify(heap)
@@ -452,7 +343,6 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng,
                 picked.append(v)
                 break
             heapq.heappush(heap, (-evaluate(v), v, round_no))
-        for r in range(replications):
-            if success[r, v]:
-                covered[r] |= reach(r, v, covered[r])
+        for r, reached in new_reaches(v):
+            covered[r] |= reached
     return picked, evaluations

@@ -182,3 +182,38 @@ def test_run_on_fixture_g1_reference_means(tmp_path):
                  "--strategies", "greedy", "--out", out]) == 0
     means = {r[0]: float(r[3]) for r in _read_rows(out + ".summary.csv")[1:]}
     assert 0.0 <= means["greedy"] <= 6.0
+
+def test_sample_sizes_below_one_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    base = ["--fixture", "two-node", "--budgets", "1", "--reps", "2",
+            "--out", out]
+    for strategy in ("greedy", "a-greedy", "h-greedy"):
+        assert main(["run", *base, "--strategies", strategy, "--R", "0"]) == 2
+    assert main(["run", *base, "--strategies", "h-greedy", "--R-pre", "0"]) == 2
+    assert main(["prune-stats", *base, "--R-pre", "0"]) == 2
+    assert "--R-pre must be an integer >= 1" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 0}))
+    assert main(["run", *base, "--strategies", "a-greedy",
+                 "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"R_pre": -3}))
+    assert main(["prune-stats", *base, "--config", str(cfg)]) == 2
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_budgets_and_static_seeds_out_of_range_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "p.csv")
+    assert main(["oracle", "exact-value", "--fixture", "two-node",
+                 "--budgets", "5"]) == 2
+    assert main(["oracle", "exact-value", "--fixture", "two-node",
+                 "--budgets", "0"]) == 2
+    assert main(["prune-stats", "--fixture", "g1", "--budgets", "7",
+                 "--out", out]) == 2
+    assert main(["prune-stats", "--gen", "5,8,1", "--budgets", "6",
+                 "--out", out]) == 2
+    assert "budget 6 outside [1, 5]" in capsys.readouterr().err
+    assert main(["oracle", "exact-value", "--fixture", "two-node",
+                 "--budgets", "1", "--policy", "static:7"]) == 2
+    assert "static seeds [7] outside [0, 2)" in capsys.readouterr().err
+    assert main(["oracle", "exact-value", "--fixture", "two-node",
+                 "--budgets", "1", "--policy", "static:x"]) == 2

@@ -152,3 +152,21 @@ def test_load_network_errors(tmp_path):
         json.dump(doc, fh)
     with pytest.raises(SchemaError, match="dst"):
         load_network(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "top-level value must be an object"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5, "edges": 5},
+     "edges must be a list"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5, "edges": [7]},
+     "edge must be an object"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1, "dist": [0.5]}]},
+     "dist must be an object"),
+])
+def test_load_network_rejects_wrong_json_shapes(tmp_path, doc, message):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(SchemaError, match=message):
+        load_network(path)

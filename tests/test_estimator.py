@@ -54,6 +54,21 @@ def test_substream_independence_and_determinism():
     assert not np.array_equal(a1, substream(43, 0, 0).random(5))
 
 
+def test_substream_rejects_keys_that_would_collide():
+    # (index << 8) | purpose must fit 64 bits, or index 2**56 would alias 0
+    for index, purpose in [(2 ** 56, 0), (-1, 0), (0, 256), (0, -1)]:
+        with pytest.raises(ValueError):
+            substream(42, index, purpose)
+    assert np.array_equal(substream(42, 2 ** 56 - 1, 255).random(3),
+                          substream(42, 2 ** 56 - 1, 255).random(3))
+    factory = functools.partial(static_seed_factory, [0])
+    for count in (0, 2 ** 56 + 1):
+        with pytest.raises(ValueError):
+            run_replications(two_node_fixture(), factory, count, 1)
+        with pytest.raises(ValueError):
+            estimate_policy_spread(two_node_fixture(), factory, count, 1)
+
+
 def test_stream_pool_reproduces_substream_exactly():
     pool = _StreamPool(42)
     for index, purpose in [(0, 0), (3, 1), (0, 0), (7, 0), (3, 1)]:

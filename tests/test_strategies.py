@@ -1,20 +1,25 @@
-"""Seeding patterns, policies, gain estimators, and static selection."""
+"""Seeding patterns, policies, the live-edge world engine, and static selection."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dicnet.diffusion
 from dicnet.diffusion import run_policy
+from dicnet.estimator import half_width
 from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
                              star_network, two_node_fixture)
 from dicnet.model import DicNetwork, fixed_distribution
-from dicnet.oracle import exact_marginal_gain_from_parts
+from dicnet.oracle import exact_marginal_gain, exact_marginal_gain_from_parts
 from dicnet.realization import empty_partial, sample_full
 from dicnet.strategies import (ADAPTIVE_PATTERN, AGreedyPolicy, RandomPolicy,
                                SeedingPattern, StaticSeedListPolicy,
-                               StepGainEvaluator, _bernoulli_positions,
-                               h_greedy_policy, h_greedy_prune, marginal_gain,
-                               observably_quiescent, pattern_a0,
-                               static_greedy_select)
+                               _bernoulli_positions, _reach, h_greedy_prune,
+                               observably_quiescent, pattern_a0, sample_worlds,
+                               static_greedy_select, world_gain)
 
 
 def _edgeless(n, activation, budget):
@@ -111,41 +116,52 @@ def test_bernoulli_positions():
     assert np.array_equal(r1, r2)
 
 
-def test_step_gain_evaluator_matches_exact_gain():
+def test_world_gain_matches_exact_gain():
     net = two_node_fixture()
-    ev = StepGainEvaluator(net, empty_partial(net), 40000, seed=9)
-    assert ev.gain(0) == pytest.approx(1.48, abs=0.02)
-    assert ev.gain(1) == pytest.approx(1.0, abs=1e-12)
-    assert ev.evaluations == 2
-    # conditioning: with node 0 active the edge is no longer fresh
-    y = empty_partial(net)
-    y.active.add(0)
-    ev2 = StepGainEvaluator(net, y, 100, seed=9)
-    assert ev2.gain(1) == pytest.approx(1.0, abs=1e-12)
+    worlds = sample_worlds(net, 40000, np.random.default_rng(9))
+    assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(1.48, abs=0.02)
+    assert world_gain(net, worlds, 1, frozenset()) == pytest.approx(1.0, abs=1e-12)
+    # conditioning: with node 0 active the edge cannot carry the cascade
+    assert world_gain(net, worlds, 1, {0}) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_step_gain_evaluator_on_chain():
+def test_world_gain_on_chain():
     net = chain_network(4, 0.5, activation=0.8, budget=1)
     exact = exact_marginal_gain_from_parts(net, frozenset(), frozenset(), 0)
     assert exact == pytest.approx(0.8 * (1 + 0.5 + 0.25 + 0.125), abs=1e-12)
-    ev = StepGainEvaluator(net, empty_partial(net), 40000, seed=10)
-    assert ev.gain(0) == pytest.approx(exact, abs=0.03)
+    worlds = sample_worlds(net, 40000, np.random.default_rng(10))
+    assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(exact, abs=0.03)
 
 
-def test_marginal_gain_matches_exact():
+def test_world_gain_conditions_on_the_active_set():
     net = chain_network(3, 0.5, activation=0.8, budget=1)
-    y = empty_partial(net)
-    est = marginal_gain(net, y, 0, 40000, np.random.default_rng(11))
+    worlds = sample_worlds(net, 40000, np.random.default_rng(11))
+    est = world_gain(net, worlds, 0, frozenset())
     assert est == pytest.approx(0.8 * (1 + 0.5 + 0.25), abs=0.03)
     # conditioned: node 1 already active, so seeding 0 gains only itself
-    y.active.add(1)
-    est = marginal_gain(net, y, 0, 4000, np.random.default_rng(12))
-    assert est == pytest.approx(0.8, abs=0.03)
-    # blocked edge: spent attempt on 0->1 cuts the chain the same way
-    y2 = empty_partial(net)
-    y2.resolved_attempts[0] = 0
-    est = marginal_gain(net, y2, 0, 4000, np.random.default_rng(13))
-    assert est == pytest.approx(0.8, abs=0.03)
+    assert world_gain(net, worlds, 0, {1}) == pytest.approx(0.8, abs=1e-12)
+
+
+def test_sample_worlds_is_deterministic_and_sparse():
+    net = star_network(5, 0.3, activation=1.0, budget=1)
+    a = sample_worlds(net, 500, np.random.default_rng(12))
+    b = sample_worlds(net, 500, np.random.default_rng(12))
+    assert a == b and len(a) == 500
+    # only the hub has out-edges, and each leaf appears at most once
+    assert all(set(adj) <= {0} for adj in a)
+    lists = [adj[0] for adj in a if adj]
+    assert all(len(ws) == len(set(ws)) and set(ws) <= set(range(1, 6))
+               for ws in lists)
+    live = sum(len(ws) for ws in lists)
+    assert abs(live - 750) < 4 * np.sqrt(2500 * 0.3 * 0.7)
+    assert sample_worlds(_edgeless(3, 1.0, 1), 4, np.random.default_rng(0)) == [{}] * 4
+
+
+def test_reach_stops_at_excluded_nodes():
+    adj = {0: [1, 2], 1: [3], 2: [3], 3: [4]}
+    assert _reach(adj, 0, ()) == {0, 1, 2, 3, 4}
+    assert _reach(adj, 0, {3}) == {0, 1, 2}
+    assert _reach(adj, 4, ()) == {4}
 
 
 def test_a_greedy_prefers_the_hub():
@@ -203,14 +219,25 @@ def test_h_greedy_prune_drops_low_activation_nodes():
     assert stats["pruned_fraction"] == pytest.approx(0.2)
 
 
-def test_h_greedy_policy_restricts_candidates():
+def test_a_greedy_candidates_restrict_seeds():
     net = _edgeless(10, (1.0,) * 8 + (0.05, 0.05), 2)
-    policy = h_greedy_policy(net, 100, 50, np.random.default_rng(20))
+    candidates, stats = h_greedy_prune(net, 50, np.random.default_rng(20))
+    policy = AGreedyPolicy(net, 100, np.random.default_rng(20),
+                           candidates=candidates)
     assert policy.candidates == frozenset(range(8))
-    assert policy.prune_stats["pruned_fraction"] == pytest.approx(0.2)
+    assert stats["pruned_fraction"] == pytest.approx(0.2)
     x = sample_full(net, np.random.default_rng(21))
     run = run_policy(net, policy, x)
     assert set(run.seeds) <= policy.candidates
+
+
+def test_h_greedy_prune_estimates_are_world_gains():
+    # the prune scores each node by world_gain on worlds drawn from its rng
+    net = star_network(4, 0.4, activation=0.7, budget=1)
+    _, stats = h_greedy_prune(net, 300, np.random.default_rng(25))
+    worlds = sample_worlds(net, 300, np.random.default_rng(25))
+    assert stats["estimates"] == tuple(
+        world_gain(net, worlds, v, frozenset()) for v in range(5))
 
 
 def test_static_greedy_select_orders_by_activation():
@@ -233,3 +260,41 @@ def test_static_greedy_select_takes_the_hub_first():
     net = star_network(5, 0.9, activation=1.0, budget=2)
     picked, _ = static_greedy_select(net, 2, 1000, np.random.default_rng(24))
     assert picked[0] == 0
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
+    # at every state of an a-greedy run: resolved edges start at active
+    # nodes (so conditioning on the active set loses nothing), and the
+    # world estimate of each eligible node's gain is within its Hoeffding
+    # half-width of the exact conditional gain
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=4, budget=2)
+    replications, delta = 4000, 1e-6
+    worlds = sample_worlds(net, replications, rng)
+    hw = half_width(net.node_count, replications, delta)
+    checked = []
+
+    def check(partial):
+        for e in partial.resolved_attempts:
+            assert net.edges[e][0] in partial.active
+        for v in range(net.node_count):
+            if v in partial.active:
+                continue
+            est = world_gain(net, worlds, v, partial.active)
+            assert abs(est - exact_marginal_gain(net, partial, v)) <= hw
+        checked.append(partial.round_index)
+
+    original = dicnet.diffusion.step_round
+
+    def checked_step(state, cmd):
+        check(state.partial)
+        state = original(state, cmd)
+        check(state.partial)
+        return state
+
+    policy = AGreedyPolicy(net, 200, rng)
+    with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
+        run = run_policy(net, policy, sample_full(net, rng))
+    assert checked and checked[-1] == run.rounds
