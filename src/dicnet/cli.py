@@ -21,7 +21,6 @@ from .data import (PresetSpec, SchemaError, generate_power_law, load_network,
                    parse_preset, save_network)
 from .estimator import half_width, run_replications, substream
 from .fixtures import fixture_g1, two_node_fixture
-from .model import validate_network
 from .oracle import (EnumerationGuard, check_properties, enumerate_schedules,
                      exact_policy_value, greedy_adaptive_value,
                      optimal_adaptive_value)
@@ -56,45 +55,55 @@ def parse_budgets(text: str) -> list[int]:
         if "," in text:
             return [int(t) for t in text.split(",")]
         return [int(text)]
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"bad budget grid {text!r}") from None
 
 
 def _resolve_network(args, budget: int):
     """The configured network with the given seeding budget."""
     preset = parse_preset(args.preset, args.activation)
-    if args.net:
-        net = load_network(args.net)
+    if args.gen:
+        try:
+            n_s, m_s, s_s = args.gen.split(",")
+            n, m, s = int(n_s), int(m_s), int(s_s)
+        except (AttributeError, ValueError):
+            raise ConfigError(f"bad --gen spec {args.gen!r}") from None
+        net = generate_power_law(n, m, s, preset, budget=1)
+    else:
+        if args.net:
+            net = load_network(args.net)
+        elif args.fixture in FIXTURES:
+            net = FIXTURES[args.fixture]()
+        else:
+            raise ConfigError(f"unknown fixture {args.fixture!r}")
         if args.preset != DEFAULT_PRESET or args.activation != DEFAULT_ACTIVATION:
             edges = tuple((u, w, preset.distribution) for u, w, _ in net.edges)
             net = dataclasses.replace(
                 net, edges=edges,
                 activation=(preset.activation,) * net.node_count)
-    elif args.gen:
-        try:
-            n_s, m_s, s_s = args.gen.split(",")
-            n, m, s = int(n_s), int(m_s), int(s_s)
-        except ValueError:
-            raise ConfigError(f"bad --gen spec {args.gen!r}") from None
-        net = generate_power_law(n, m, s, preset, budget=1)
-    elif args.fixture == "g1":
-        net = fixture_g1()
-    elif args.fixture == "two-node":
-        net = two_node_fixture()
-    else:
-        raise ConfigError(f"unknown fixture {args.fixture!r}")
     if not 1 <= budget <= net.node_count:
         raise ConfigError(f"budget {budget} outside [1, {net.node_count}]")
     return dataclasses.replace(net, budget=budget)
 
 
-def _sample_size(args, name: str) -> int:
-    """A Monte Carlo sample size from the flags or the config file."""
-    value = getattr(args, name)
-    if type(value) is not int or value < 1:
-        flag = "--" + name.replace("_", "-")
-        raise ConfigError(f"{flag} must be an integer >= 1, got {value!r}")
-    return value
+# integer settings and their smallest allowed value (None: any integer)
+_INT_SETTINGS = {"R": 1, "R_pre": 1, "reps": 1, "workers": 1, "trials": 0,
+                 "seed": None}
+
+
+def _check_numbers(args):
+    """Reject malformed numeric settings, typed or from --config, before
+    any work starts.  Bools are not numbers here."""
+    for name, low in _INT_SETTINGS.items():
+        if not hasattr(args, name):        # `trials` belongs to `oracle` only
+            continue
+        value = getattr(args, name)
+        if type(value) is not int or (low is not None and value < low):
+            flag = "--" + name.replace("_", "-")
+            bound = "" if low is None else f" >= {low}"
+            raise ConfigError(f"{flag} must be an integer{bound}, got {value!r}")
+    if type(args.delta) not in (int, float) or not 0 < args.delta < 1:
+        raise ConfigError(f"--delta must be a number in (0, 1), got {args.delta!r}")
 
 
 def _make_factory(strategy: str, net, args):
@@ -105,21 +114,18 @@ def _make_factory(strategy: str, net, args):
             RandomPolicy, pattern_a0(net.budget, net.node_count)), info
     if strategy == "greedy":
         rng = substream(args.seed, net.budget, _PURPOSE_SELECT)
-        seeds, evals = static_greedy_select(net, net.budget,
-                                            _sample_size(args, "R"), rng)
+        seeds, evals = static_greedy_select(net, net.budget, args.R, rng)
         info["selected_seeds"] = seeds
         info["selection_gain_evaluations"] = evals
         return functools.partial(static_seed_factory, tuple(seeds)), info
     if strategy == "a-greedy":
-        return functools.partial(AGreedyPolicy, net,
-                                 _sample_size(args, "R")), info
+        return functools.partial(AGreedyPolicy, net, args.R), info
     if strategy == "h-greedy":
-        replications = _sample_size(args, "R")
         rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
-        candidates, stats = h_greedy_prune(net, _sample_size(args, "R_pre"), rng)
+        candidates, stats = h_greedy_prune(net, args.R_pre, rng)
         info["pruned_fraction"] = stats["pruned_fraction"]
         info["candidates"] = len(candidates)
-        return functools.partial(AGreedyPolicy, net, replications,
+        return functools.partial(AGreedyPolicy, net, args.R,
                                  candidates=candidates), info
     raise ConfigError(f"unknown strategy {strategy!r}")
 
@@ -131,9 +137,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"unknown strategy {s!r}; "
                               f"choose from {', '.join(STRATEGIES)}")
     budgets = parse_budgets(args.budgets)
-    probe = _resolve_network(args, budgets[0])  # validates config early
-    if not all(1 <= b <= probe.node_count for b in budgets):
-        raise ConfigError(f"budget grid {budgets} outside [1, {probe.node_count}]")
+    base = _resolve_network(args, budgets[0])
+    if not all(1 <= b <= base.node_count for b in budgets):
+        raise ConfigError(f"budget grid {budgets} outside [1, {base.node_count}]")
     out = args.out
     summary_path = out + ".summary.csv"
     meta_path = out + ".meta.json"
@@ -144,7 +150,7 @@ def cmd_run(args) -> int:
             writer.writerow(CSV_HEADER.split(","))
             for strategy in strategies:
                 for budget in budgets:
-                    net = _resolve_network(args, budget)
+                    net = dataclasses.replace(base, budget=budget)
                     factory, info = _make_factory(strategy, net, args)
                     rows = run_replications(net, factory, args.reps,
                                             args.seed, args.workers)
@@ -185,7 +191,7 @@ def cmd_prune_stats(args) -> int:
     budgets = parse_budgets(args.budgets)
     net = _resolve_network(args, budgets[0])
     rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
-    _, stats = h_greedy_prune(net, _sample_size(args, "R_pre"), rng)
+    _, stats = h_greedy_prune(net, args.R_pre, rng)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "estimate"])
@@ -270,16 +276,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        n_s, m_s, s_s = args.gen.split(",")
-        n, m, s = int(n_s), int(m_s), int(s_s)
-    except (AttributeError, ValueError):
-        raise ConfigError("gen requires --gen n,edges,seed") from None
-    preset = parse_preset(args.preset, args.activation)
-    net = generate_power_law(n, m, s, preset, budget=1)
-    problem = validate_network(net)
-    if problem:
-        raise ConfigError(problem)
+    if not args.gen:
+        raise ConfigError("gen requires --gen n,edges,seed")
+    net = _resolve_network(args, 1)        # the generator validates the net
     save_network(net, args.out)
     print(f"wrote {net.node_count} nodes, {len(net.edges)} edges to {args.out}")
     return 0
@@ -287,6 +286,7 @@ def cmd_gen(args) -> int:
 
 DEFAULT_PRESET = "f1:0.01"
 DEFAULT_ACTIVATION = 0.5
+FIXTURES = {"g1": fixture_g1, "two-node": two_node_fixture}
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -294,7 +294,7 @@ def _add_common(p: argparse.ArgumentParser):
     src.add_argument("--net", help="network JSON file")
     src.add_argument("--gen", metavar="n,edges,seed",
                      help="generate a power-law network")
-    src.add_argument("--fixture", default="g1", choices=("g1", "two-node"),
+    src.add_argument("--fixture", default="g1", choices=tuple(FIXTURES),
                      help="built-in demo network")
     p.add_argument("--preset", default=DEFAULT_PRESET,
                    help="edge law: f1:p | f2:mean,bins | f3:v1,v2,...")
@@ -402,6 +402,7 @@ def main(argv=None) -> int:
             if key not in explicit:
                 setattr(args, key, value)
     try:
+        _check_numbers(args)
         return args.func(args)
     except (ConfigError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

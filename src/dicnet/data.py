@@ -33,6 +33,8 @@ class PresetSpec:
 
 def parse_preset(text: str, activation: float = 0.5) -> PresetSpec:
     """Parse 'f1:p', 'f2:mean,bins', or 'f3:v1,v2,...' preset strings."""
+    if type(activation) not in (int, float) or not 0.0 <= activation <= 1.0:
+        raise SchemaError(f"activation {activation!r} outside [0, 1]")
     try:
         name, _, arg = text.partition(":")
         name = name.lower()

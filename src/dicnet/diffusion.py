@@ -34,14 +34,15 @@ class DiffusionState:
     partial: PartialRealization
     frontier: set[int]
     budget_used: int
-    quiescent: bool
     _x: FullRealization = field(repr=False, default=None)
 
 
 def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
     """True when no node of `nodes` has an unresolved edge to an inactive
-    node.  Over the frontier this says whether the cascade can still move;
-    over the whole active set it is the observable quiescence test."""
+    node.  Over the whole active set this is observable quiescence.
+    `step_round` scans only the frontier: a node leaves the frontier after
+    its one round of attempts, when each of its out-edges is resolved or
+    points at an active node, so the two scans agree."""
     for u in nodes:
         for eidx, w in net.out_edges[u]:
             if w not in partial.active and eidx not in partial.resolved_attempts:
@@ -51,13 +52,13 @@ def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
 
 def start(net: DicNetwork, x: FullRealization) -> DiffusionState:
     """Fresh state at round zero with the empty observation."""
-    return DiffusionState(net, empty_partial(net), set(), 0, True, x)
+    return DiffusionState(net, empty_partial(net), set(), 0, x)
 
 
 def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     """Execute one simultaneous round of seeding plus frontier propagation."""
     net, partial, x = state.net, state.partial, state._x
-    if not cmd.nodes and state.quiescent:
+    if not cmd.nodes and partial.quiescent:
         raise InvalidCommand("null round: empty command on a quiescent state")
     for v in cmd.nodes:
         if v in partial.active:
@@ -91,13 +92,13 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     partial.round_index += 1
     state.frontier = newly
     state.budget_used += len(cmd.nodes)
-    state.quiescent = is_quiescent(net, partial, newly)
+    partial.quiescent = is_quiescent(net, partial, newly)
     return state
 
 
 def run_to_quiescence(state: DiffusionState) -> DiffusionState:
     """Let the cascade play out with empty commands until nothing can move."""
-    while not state.quiescent:
+    while not state.partial.quiescent:
         step_round(state, EMPTY_COMMAND)
     return state
 
@@ -159,7 +160,7 @@ def run_policy(net: DicNetwork, policy, x: FullRealization,
             outcomes = tuple(state.partial.attempts[v][-1] for v in seeded)
             trace.append((state.partial.round_index, seeded, outcomes,
                           tuple(sorted(state.frontier))))
-    while not state.quiescent:
+    while not state.partial.quiescent:
         step_round(state, EMPTY_COMMAND)
         if collect_trace:
             trace.append((state.partial.round_index, (), (),

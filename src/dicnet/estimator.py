@@ -52,6 +52,8 @@ def hoeffding_samples(n: float, eps: float, delta: float) -> int:
 
 def half_width(n: float, replications: int, delta: float) -> float:
     """Hoeffding confidence half-width for [0, n]-bounded samples."""
+    if not (0 < delta < 1):
+        raise ValueError("delta must be in (0, 1)")
     return n * math.sqrt(math.log(2.0 / delta) / (2.0 * replications))
 
 
@@ -147,11 +149,23 @@ def _sum_chunk(net: DicNetwork, policy_factory, master_seed: int,
     return total
 
 
-def _check_replications(replications: int):
-    """Replication indices must stay below INDEX_LIMIT so that every
-    replication gets its own streams; checked once per call."""
+def _map_chunks(chunk_fn, net: DicNetwork, policy_factory, master_seed: int,
+                replications: int, workers: int) -> list:
+    """`chunk_fn(net, policy_factory, master_seed, start, stop)` over chunks
+    of [0, replications), serially or on `workers` processes; the per-chunk
+    results come back in replication order."""
+    # replication indices must stay below INDEX_LIMIT so that every
+    # replication gets its own streams
     if not 1 <= replications <= INDEX_LIMIT:
         raise ValueError(f"replications must be in [1, 2**56], got {replications}")
+    if workers <= 1:
+        return [chunk_fn(net, policy_factory, master_seed, 0, replications)]
+    chunk = max(1, -(-replications // (workers * 4)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(chunk_fn, net, policy_factory, master_seed,
+                               s, min(s + chunk, replications))
+                   for s in range(0, replications, chunk)]
+        return [f.result() for f in futures]   # submission order
 
 
 def run_replications(net: DicNetwork, policy_factory, replications: int,
@@ -161,19 +175,9 @@ def run_replications(net: DicNetwork, policy_factory, replications: int,
     `policy_factory(rng) -> policy` must be picklable when workers > 1
     (a module-level function or functools.partial of one).
     """
-    _check_replications(replications)
-    if workers <= 1:
-        return _run_chunk(net, policy_factory, master_seed, 0, replications)
-    chunk = max(1, -(-replications // (workers * 4)))
-    bounds = [(s, min(s + chunk, replications))
-              for s in range(0, replications, chunk)]
-    rows: list[ReplicationResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, net, policy_factory, master_seed, s, t)
-                   for s, t in bounds]
-        for f in futures:          # submission order == replication order
-            rows.extend(f.result())
-    return rows
+    chunks = _map_chunks(_run_chunk, net, policy_factory, master_seed,
+                         replications, workers)
+    return [row for rows in chunks for row in rows]
 
 
 def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
@@ -181,20 +185,8 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
                            workers: int = 1) -> Estimate:
     """Mean spread of the policy over `replications` independent realizations,
     with a Hoeffding half-width at confidence 1 - delta."""
-    _check_replications(replications)
-    if workers <= 1:
-        total = _sum_chunk(net, policy_factory, master_seed, 0, replications)
-    else:
-        chunk = max(1, -(-replications // (workers * 4)))
-        bounds = [(s, min(s + chunk, replications))
-                  for s in range(0, replications, chunk)]
-        total = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sum_chunk, net, policy_factory,
-                                   master_seed, s, t) for s, t in bounds]
-            for f in futures:      # fixed index-order reduction
-                total += f.result()
-    mean = total / replications
-    return Estimate(mean, replications,
+    total = sum(_map_chunks(_sum_chunk, net, policy_factory, master_seed,
+                            replications, workers))
+    return Estimate(total / replications, replications,
                     half_width(net.node_count, replications, delta),
                     master_seed)

@@ -25,13 +25,15 @@ class FullRealization:
 @dataclass
 class PartialRealization:
     """Observable history: active set, consumed seed attempts with their
-    outcomes, revealed edge draws and resolved attempt bits."""
+    outcomes, revealed edge draws, resolved attempt bits, and whether the
+    observed cascade is quiescent (kept up to date by `step_round`)."""
 
     active: set[int]
     attempts: list[list[int]]                    # per node, outcome bits so far
     revealed_draws: dict[int, float] = field(default_factory=dict)
     resolved_attempts: dict[int, int] = field(default_factory=dict)
     round_index: int = 0
+    quiescent: bool = True
 
     def copy(self) -> "PartialRealization":
         return PartialRealization(
@@ -40,6 +42,7 @@ class PartialRealization:
             dict(self.revealed_draws),
             dict(self.resolved_attempts),
             self.round_index,
+            self.quiescent,
         )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import EMPTY_COMMAND, SeedCommand, is_quiescent
+from .diffusion import EMPTY_COMMAND, SeedCommand
 from .model import DicNetwork
 from .realization import PartialRealization
 
@@ -46,8 +46,8 @@ def pattern_a0(budget: int, n: int) -> SeedingPattern:
 
 def observably_quiescent(net: DicNetwork, partial: PartialRealization) -> bool:
     """True when no active node has an unresolved edge to an inactive node,
-    i.e. the cascade cannot move without new seeds."""
-    return is_quiescent(net, partial, partial.active)
+    i.e. the cascade cannot move without new seeds (kept by `step_round`)."""
+    return partial.quiescent
 
 
 def _eligible_nodes(net: DicNetwork, partial: PartialRealization, candidates=None):
@@ -215,7 +215,9 @@ class AGreedyPolicy:
     worlds sampled at the first decision (common random numbers).  As the
     active set grows each candidate's estimated gain can only shrink, so
     cached gains are valid upper bounds and the lazy queue selects exactly
-    the same node an exhaustive re-evaluation would.
+    the same node an exhaustive re-evaluation would.  Eligibility only
+    shrinks too (active sets and attempt counts only grow), so the queue is
+    filled once, at that first decision.
     """
 
     def __init__(self, net: DicNetwork, replications: int, rng,
@@ -229,7 +231,6 @@ class AGreedyPolicy:
         self.step = 0
         self.gain_evaluations = 0
         self._heap: list = []          # (-gain, node, stamp)
-        self._queued: set[int] = set()
         self._worlds = None
         self.selections: list[int] = []
 
@@ -245,19 +246,17 @@ class AGreedyPolicy:
         elig = _eligible_nodes(net, partial, self.candidates)
         if not elig:
             return None
+        active = partial.active
         if self._worlds is None:
             self._worlds = sample_worlds(self.net, self.replications, self.rng)
-        active = partial.active
+            if self.celf:
+                self._heap = [(-self._gain(v, active), v, 0) for v in elig]
+                heapq.heapify(self._heap)
         if self.celf:
-            for v in elig:
-                if v not in self._queued:
-                    heapq.heappush(self._heap, (-self._gain(v, active), v, self.step))
-                    self._queued.add(v)
             elig_set = set(elig)
             while True:
                 neg_gain, v, stamp = heapq.heappop(self._heap)
                 if v not in elig_set:
-                    self._queued.discard(v)
                     continue
                 if stamp == self.step:
                     chosen, chosen_gain = v, -neg_gain

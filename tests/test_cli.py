@@ -2,9 +2,11 @@
 
 import csv
 import json
+from unittest import mock
 
 import pytest
 
+import dicnet.cli
 from dicnet.cli import CSV_HEADER, ConfigError, main, parse_budgets
 from dicnet.data import generate_power_law, load_network, parse_preset, save_network
 from dicnet.model import DicNetwork
@@ -217,3 +219,66 @@ def test_budgets_and_static_seeds_out_of_range_exit_2(tmp_path, capsys):
     assert "static seeds [7] outside [0, 2)" in capsys.readouterr().err
     assert main(["oracle", "exact-value", "--fixture", "two-node",
                  "--budgets", "1", "--policy", "static:x"]) == 2
+
+
+def test_run_generates_its_network_once(tmp_path):
+    out = str(tmp_path / "r.csv")
+    with mock.patch.object(dicnet.cli, "generate_power_law",
+                           wraps=generate_power_law) as gen:
+        assert main(["run", "--gen", "30,120,9", "--budgets", "1..3",
+                     "--reps", "2", "--R", "20",
+                     "--strategies", "random,greedy", "--out", out]) == 0
+    assert gen.call_count == 1
+    assert len(_read_rows(out)) == 1 + 2 * 3 * 2
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_numeric_settings_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    base = ["run", "--fixture", "two-node", "--budgets", "1", "--reps", "2",
+            "--strategies", "random", "--out", out]
+    for delta in ("0", "5", "-0.5", "1", "nan"):
+        assert main([*base, "--delta", delta]) == 2
+        assert _one_line_error(capsys)
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"reps": "3"}, {"delta": "x"}, {"workers": "2"},
+                {"workers": 0}, {"seed": 1.5}, {"R": True}, {"reps": 2.0},
+                {"delta": True}, {"budgets": 1}):
+        cfg.write_text(json.dumps({"budgets": "1", "reps": 2, **bad}))
+        assert main(["run", "--fixture", "two-node", "--strategies", "random",
+                     "--config", str(cfg), "--out", out]) == 2, bad
+        assert _one_line_error(capsys), bad
+    assert main(["oracle", "properties", "--fixture", "g1", "--budgets", "1",
+                 "--trials", "-1"]) == 2
+    assert "--trials must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+    assert not (tmp_path / "r.csv.summary.csv").exists()
+    assert not (tmp_path / "r.csv.meta.json").exists()
+
+
+def test_activation_is_checked_and_applied_for_every_source(tmp_path, capsys):
+    net_path = str(tmp_path / "net.json")
+    save_network(generate_power_law(4, 6, 1, parse_preset("f1:0.1"), 1),
+                 net_path)
+    out = str(tmp_path / "r.csv")
+    base = ["run", "--budgets", "1", "--reps", "40", "--R", "50",
+            "--strategies", "greedy", "--out", out]
+    for activation in ("1.5", "-0.5"):
+        assert main([*base, "--net", net_path, "--activation", activation]) == 2
+        assert _one_line_error(capsys)
+        assert main([*base, "--fixture", "two-node",
+                     "--activation", activation]) == 2
+        assert _one_line_error(capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+    def mean(extra):
+        assert main([*base, "--fixture", "two-node", *extra]) == 0
+        return float(_read_rows(out + ".summary.csv")[1][3])
+
+    # the flags now reach the fixture: the default f1:0.01 edge law replaces
+    # the fixture's two-point law (mean 0.48) once an override is given
+    assert mean(["--activation", "1.0"]) < mean([])

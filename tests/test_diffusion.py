@@ -26,7 +26,7 @@ ALL_PASS = _g1_realization([(1, 1, 1)] * 6, (1, 1, 1, 1, 1))
 def test_start_state():
     net = fixture_g1()
     s = start(net, ALL_PASS)
-    assert s.budget_used == 0 and s.quiescent and s.frontier == set()
+    assert s.budget_used == 0 and s.partial.quiescent and s.frontier == set()
     assert s.partial.active == set()
 
 
@@ -38,13 +38,13 @@ def test_full_chain_cascade_trace():
     step_round(s, SeedCommand(frozenset({0})))
     assert s.partial.active == {0}
     assert s.frontier == {0}
-    assert not s.quiescent
+    assert not s.partial.quiescent
     assert s.partial.attempts[0] == [1]
     assert s.partial.revealed_draws == {0: 0.4}     # out-edges of node 0
     for k in range(1, 6):
         step_round(s, EMPTY_COMMAND)
         assert s.partial.active == set(range(k + 1))
-    assert s.quiescent
+    assert s.partial.quiescent
     assert s.partial.round_index == 6
     assert s.partial.resolved_attempts == {e: 1 for e in range(5)}
 
@@ -56,7 +56,7 @@ def test_failed_seed_is_observed_and_consumes_attempt():
     assert s.partial.active == set()
     assert s.partial.attempts[2] == [0]
     assert s.budget_used == 1
-    assert s.quiescent                      # nothing is pending
+    assert s.partial.quiescent              # nothing is pending
     assert s.partial.revealed_draws == {}   # inactive nodes reveal nothing
 
 

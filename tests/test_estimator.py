@@ -43,6 +43,9 @@ def test_half_width_formula_and_monotonicity():
     widths = [half_width(10, r, 0.01) for r in (100, 400, 1600, 6400)]
     assert widths == sorted(widths, reverse=True)
     assert widths[0] / widths[1] == pytest.approx(2.0)
+    for delta in (0.0, 1.0, 5.0, -0.5):
+        with pytest.raises(ValueError):
+            half_width(10, 100, delta)
 
 
 def test_substream_independence_and_determinism():

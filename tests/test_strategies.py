@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicnet.diffusion
-from dicnet.diffusion import run_policy
+from dicnet.diffusion import is_quiescent, run_policy
 from dicnet.estimator import half_width
 from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
                              star_network, two_node_fixture)
@@ -18,7 +18,7 @@ from dicnet.realization import empty_partial, sample_full
 from dicnet.strategies import (ADAPTIVE_PATTERN, AGreedyPolicy, RandomPolicy,
                                SeedingPattern, StaticSeedListPolicy,
                                _bernoulli_positions, _reach, h_greedy_prune,
-                               observably_quiescent, pattern_a0, sample_worlds,
+                               pattern_a0, sample_worlds,
                                static_greedy_select, world_gain)
 
 
@@ -43,18 +43,20 @@ def test_pattern_validation():
 
 
 def test_observably_quiescent():
+    # the observable scan over the whole active set, on hand-built states
+    # (the simulator keeps the same flag in partial.quiescent)
     net = fixture_g1()
     y = empty_partial(net)
-    assert observably_quiescent(net, y)
+    assert is_quiescent(net, y, y.active)
     y.active.add(2)                     # edge 2->3 unresolved
-    assert not observably_quiescent(net, y)
+    assert not is_quiescent(net, y, y.active)
     y.resolved_attempts[2] = 0
-    assert observably_quiescent(net, y)
+    assert is_quiescent(net, y, y.active)
     y.active.add(3)                     # now 3->4 pending instead
-    assert not observably_quiescent(net, y)
+    assert not is_quiescent(net, y, y.active)
     y.active.add(4)
     y.resolved_attempts[4] = 1
-    assert observably_quiescent(net, y)
+    assert is_quiescent(net, y, y.active)
 
 
 def test_random_policy_schedule_compresses_waiting():
@@ -265,10 +267,12 @@ def test_static_greedy_select_takes_the_hub_first():
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
-    # at every state of an a-greedy run: resolved edges start at active
-    # nodes (so conditioning on the active set loses nothing), and the
-    # world estimate of each eligible node's gain is within its Hoeffding
-    # half-width of the exact conditional gain
+    # at every state of an a-greedy run and of a random run that seeds
+    # mid-cascade: the simulator's quiescence flag equals the scan over the
+    # whole active set, resolved edges start at active nodes (so
+    # conditioning on the active set loses nothing), and the world estimate
+    # of each eligible node's gain is within its Hoeffding half-width of the
+    # exact conditional gain
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=4, budget=2)
     replications, delta = 4000, 1e-6
@@ -277,6 +281,7 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
     checked = []
 
     def check(partial):
+        assert partial.quiescent == is_quiescent(net, partial, partial.active)
         for e in partial.resolved_attempts:
             assert net.edges[e][0] in partial.active
         for v in range(net.node_count):
@@ -294,7 +299,9 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
         check(state.partial)
         return state
 
-    policy = AGreedyPolicy(net, 200, rng)
-    with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
-        run = run_policy(net, policy, sample_full(net, rng))
-    assert checked and checked[-1] == run.rounds
+    for policy in (AGreedyPolicy(net, 200, rng),
+                   RandomPolicy(pattern_a0(net.budget, net.node_count), rng)):
+        checked.clear()
+        with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
+            run = run_policy(net, policy, sample_full(net, rng))
+        assert checked and checked[-1] == run.rounds
