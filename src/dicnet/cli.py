@@ -76,11 +76,13 @@ def _resolve_network(args, budget: int):
             net = FIXTURES[args.fixture]()
         else:
             raise ConfigError(f"unknown fixture {args.fixture!r}")
-        if args.preset != DEFAULT_PRESET or args.activation != DEFAULT_ACTIVATION:
+        # each flag sets its own part of the network unless at its default
+        if args.preset != DEFAULT_PRESET:
             edges = tuple((u, w, preset.distribution) for u, w, _ in net.edges)
+            net = dataclasses.replace(net, edges=edges)
+        if args.activation != DEFAULT_ACTIVATION:
             net = dataclasses.replace(
-                net, edges=edges,
-                activation=(preset.activation,) * net.node_count)
+                net, activation=(preset.activation,) * net.node_count)
     if not 1 <= budget <= net.node_count:
         raise ConfigError(f"budget {budget} outside [1, {net.node_count}]")
     return dataclasses.replace(net, budget=budget)
@@ -89,11 +91,19 @@ def _resolve_network(args, budget: int):
 # integer settings and their smallest allowed value (None: any integer)
 _INT_SETTINGS = {"R": 1, "R_pre": 1, "reps": 1, "workers": 1, "trials": 0,
                  "seed": None}
+# string settings, and whether they may be null
+_STR_SETTINGS = {"preset": False, "strategies": False, "out": False,
+                 "policy": False, "budgets": False, "fixture": False,
+                 "net": True, "gen": True}
 
 
-def _check_numbers(args):
-    """Reject malformed numeric settings, typed or from --config, before
-    any work starts.  Bools are not numbers here."""
+def _check_settings(args):
+    """Reject malformed settings, typed or from --config, before any work
+    starts.  Bools are not numbers here."""
+    for name, nullable in _STR_SETTINGS.items():
+        value = getattr(args, name, "")    # some belong to one command only
+        if type(value) is not str and not (nullable and value is None):
+            raise ConfigError(f"--{name} must be a string, got {value!r}")
     for name, low in _INT_SETTINGS.items():
         if not hasattr(args, name):        # `trials` belongs to `oracle` only
             continue
@@ -176,7 +186,7 @@ def cmd_run(args) -> int:
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump({"version": __version__,
                        "config": _config_dict(args),
-                       "cells": _jsonable(cells)}, fh, indent=2)
+                       "cells": cells}, fh, indent=2)
             fh.write("\n")
     except BaseException:
         for path in (out, summary_path, meta_path):
@@ -209,16 +219,9 @@ def cmd_prune_stats(args) -> int:
     return 0
 
 
-class _EmptyPolicy:
-    gain_evaluations = 0
-
-    def decide(self, net, partial, remaining):
-        return None
-
-
 def _parse_oracle_policy(text: str, node_count: int):
     if text == "empty":
-        return lambda: _EmptyPolicy()
+        return lambda: static_seed_factory((), None)
     kind, _, arg = text.partition(":")
     if kind == "static":
         try:
@@ -355,14 +358,6 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _explicit_args(argv):
     """Namespace holding only the options the user actually typed, found by
     re-parsing with every default suppressed."""
@@ -402,7 +397,7 @@ def main(argv=None) -> int:
             if key not in explicit:
                 setattr(args, key, value)
     try:
-        _check_numbers(args)
+        _check_settings(args)
         return args.func(args)
     except (ConfigError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,9 +155,6 @@ class DicNetwork:
         means = np.fromiter(self.edge_means, dtype=np.float64, count=m)
         return src, dst, means
 
-    def distribution(self, edge_index: int) -> PropagationDistribution:
-        return self.edges[edge_index][2]
-
 
 def validate_network(net: DicNetwork) -> str | None:
     """Return the first violated invariant as a message, or None when valid."""

@@ -2,8 +2,9 @@
 
 Provides the auxiliary-graph expansion (one attempt node per seeding slot,
 one parallel edge per support value), exhaustive enumeration of full
-realizations, exact policy values, and exact optimal adaptive values computed
-by backward induction over belief states.  Everything here is guarded to
+realizations, exact policy values, and the exact values of the optimal
+adaptive, the exact-greedy and each explicit seeding pattern, all computed by
+one backward induction over belief states.  Everything here is guarded to
 desk-scale instances and exists to cross-check the Monte Carlo side.
 """
 
@@ -65,11 +66,15 @@ def realization_count(net: DicNetwork) -> int:
     return count
 
 
-def enumerate_realizations(net: DicNetwork):
-    """Yield every (FullRealization, probability); probabilities sum to one."""
+def _check_guard(net: DicNetwork):
     count = realization_count(net)
     if count > ENUMERATION_GUARD:
         raise EnumerationGuard(count)
+
+
+def enumerate_realizations(net: DicNetwork):
+    """Yield every (FullRealization, probability); probabilities sum to one."""
+    _check_guard(net)
     node_options = []
     for v in range(net.node_count):
         p = net.activation[v]
@@ -125,31 +130,31 @@ def _initial_belief(net: DicNetwork):
 def _round_branches(net: DicNetwork, belief, seeds):
     """All outcomes of one simultaneous round: list of (prob, belief)."""
     active, consumed, used, pending = belief
+    # each seeding attempt and each pending edge attempt either hits its
+    # node or misses (None)
     options = []
     for v in seeds:
         p = net.activation[v]
-        options.append(((("seed", v, 1), p), (("seed", v, 0), 1.0 - p)))
+        options.append(((v, p), (None, 1.0 - p)))
     for eidx, value in pending:
-        options.append(((("edge", eidx, 1), value), (("edge", eidx, 0), 1.0 - value)))
+        options.append(((net.edges[eidx][1], value), (None, 1.0 - value)))
+    new_used = used | frozenset(e for e, _ in pending)
+    new_consumed = list(consumed)
+    for v in seeds:
+        new_consumed[v] += 1
+    new_consumed = tuple(new_consumed)
     out = []
     for combo in itertools.product(*options):
         prob = 1.0
         newly = set()
-        for (kind, ident, bit), p in combo:
+        for hit, p in combo:
             prob *= p
-            if bit:
-                if kind == "seed":
-                    newly.add(ident)
-                else:
-                    newly.add(net.edges[ident][1])
+            if hit is not None:
+                newly.add(hit)
         if prob == 0.0:
             continue
         newly -= active
         new_active = active | newly
-        new_used = used | frozenset(e for e, _ in pending)
-        new_consumed = list(consumed)
-        for v in seeds:
-            new_consumed[v] += 1
         # reveal draws on the new frontier's out-edges toward inactive targets
         reveal_opts = []
         for z in sorted(newly):
@@ -167,7 +172,7 @@ def _round_branches(net: DicNetwork, belief, seeds):
                 new_pending.append((eidx, value))
             if rprob == 0.0:
                 continue
-            out.append((rprob, (new_active, tuple(new_consumed), new_used,
+            out.append((rprob, (new_active, new_consumed, new_used,
                                 tuple(sorted(new_pending)))))
     return out
 
@@ -227,43 +232,66 @@ def exact_marginal_gain(net: DicNetwork, y: PartialRealization, v) -> float:
     return exact_marginal_gain_from_parts(net, frozenset(y.active), blocked, v)
 
 
-def _adaptive_value(net: DicNetwork, chooser) -> float:
-    """Backward induction under the one-seed-per-quiescence schedule.
+def _induction(net: DicNetwork, moves) -> float:
+    """Backward induction over (belief, step) states.
 
-    `chooser` is None for the optimal strategy (max over eligible nodes) or a
-    function (net, belief, eligible) -> node for a fixed decision rule.
+    `moves(belief, step)` is None once the run has ended, and the state is
+    worth its active count.  Otherwise it is (seed sets, next step) and the
+    state is worth the best seed set's expectation over one round.
     """
     memo: dict = {}
 
-    def value(belief) -> float:
-        if belief in memo:
-            return memo[belief]
-        active, consumed, _, pending = belief
-        if pending:
-            result = sum(p * value(b) for p, b in _round_branches(net, belief, ()))
+    def value(belief, step) -> float:
+        key = (belief, step)
+        if key in memo:
+            return memo[key]
+        options = moves(belief, step)
+        if options is None:
+            result = float(len(belief[0]))
         else:
-            elig = _eligible(net, belief)
-            if sum(consumed) >= net.budget or not elig:
-                result = float(len(active))
-            elif chooser is None:
-                result = max(
-                    sum(p * value(b) for p, b in _round_branches(net, belief, (v,)))
-                    for v in elig)
-            else:
-                v = chooser(net, belief, elig)
-                result = sum(p * value(b)
-                             for p, b in _round_branches(net, belief, (v,)))
-        memo[belief] = result
+            seed_sets, after = options
+            result = max(sum(p * value(b, after)
+                             for p, b in _round_branches(net, belief, seeds))
+                         for seeds in seed_sets)
+        memo[key] = result
         return result
 
     _check_guard(net)
-    return value(_initial_belief(net))
+    return value(_initial_belief(net), 0)
 
 
-def _check_guard(net: DicNetwork):
-    count = realization_count(net)
-    if count > ENUMERATION_GUARD:
-        raise EnumerationGuard(count)
+def _adaptive_moves(net: DicNetwork, greedy: bool):
+    """One seed at each quiescence until the budget runs out: the best
+    eligible node for the optimum, the one with the largest exact gain for
+    greedy."""
+
+    def moves(belief, step):
+        active, consumed, used, pending = belief
+        if pending:
+            return ((),), step              # wait for the cascade to settle
+        elig = _eligible(net, belief)
+        if sum(consumed) >= net.budget or not elig:
+            return None
+        if greedy:
+            return ((_exact_argmax(net, active, used, elig),),), step
+        return [(v,) for v in elig], step
+
+    return moves
+
+
+def _pattern_moves(net: DicNetwork, schedule):
+    """Step i seeds schedule[i] nodes (as many as are left); after the
+    schedule the cascade drains."""
+
+    def moves(belief, i):
+        _, consumed, _, pending = belief
+        if i == len(schedule):
+            return (((),), i) if pending else None
+        elig = _eligible(net, belief)
+        k = min(schedule[i], len(elig), net.budget - sum(consumed))
+        return itertools.combinations(elig, k), i + 1
+
+    return moves
 
 
 def _exact_argmax(net: DicNetwork, active, blocked, eligible):
@@ -275,11 +303,6 @@ def _exact_argmax(net: DicNetwork, active, blocked, eligible):
         if gain > best_gain + 1e-12:
             best, best_gain = v, gain
     return best
-
-
-def _greedy_chooser(net, belief, eligible):
-    active, _, used, _ = belief
-    return _exact_argmax(net, active, used, eligible)
 
 
 class ExactGainPolicy:
@@ -313,49 +336,7 @@ class ExactGainPolicy:
 def greedy_adaptive_value(net: DicNetwork) -> float:
     """Exact expected spread of the adaptive greedy strategy whose marginal
     gains are computed exactly (no Monte Carlo noise)."""
-    return _adaptive_value(net, _greedy_chooser)
-
-
-def _pattern_value(net: DicNetwork, schedule) -> float:
-    memo: dict = {}
-
-    def drain(belief) -> float:
-        active, _, _, pending = belief
-        if not pending:
-            return float(len(active))
-        key = (belief, "drain")
-        if key in memo:
-            return memo[key]
-        result = sum(p * drain(b) for p, b in _round_branches(net, belief, ()))
-        memo[key] = result
-        return result
-
-    def value(belief, i) -> float:
-        active, consumed, _, pending = belief
-        if i >= len(schedule) and not any(schedule[i:]):
-            return drain(belief)
-        key = (belief, i)
-        if key in memo:
-            return memo[key]
-        a = schedule[i] if i < len(schedule) else 0
-        elig = _eligible(net, belief)
-        k = min(a, len(elig), net.budget - sum(consumed))
-        if k == 0:
-            if pending:
-                result = sum(p * value(b, i + 1)
-                             for p, b in _round_branches(net, belief, ()))
-            else:
-                result = value(belief, i + 1)  # waiting round, nothing moves
-        else:
-            result = max(
-                sum(p * value(b, i + 1)
-                    for p, b in _round_branches(net, belief, seeds))
-                for seeds in itertools.combinations(elig, k))
-        memo[key] = result
-        return result
-
-    _check_guard(net)
-    return value(_initial_belief(net), 0)
+    return _induction(net, _adaptive_moves(net, True))
 
 
 def optimal_adaptive_value(net: DicNetwork, pattern) -> float:
@@ -367,25 +348,21 @@ def optimal_adaptive_value(net: DicNetwork, pattern) -> float:
     if isinstance(pattern, str):
         if pattern != "adaptive":
             raise ValueError(f"unknown pattern {pattern!r}")
-        return _adaptive_value(net, None)
+        return _induction(net, _adaptive_moves(net, False))
     schedule = tuple(int(a) for a in pattern)
     if sum(schedule) > net.budget:
         raise ValueError("schedule exceeds budget")
     if schedule and schedule[0] < 1 and sum(schedule) > 0:
         raise ValueError("first scheduled step must seed at least one node")
-    return _pattern_value(net, schedule)
+    return _induction(net, _pattern_moves(net, schedule))
 
 
 def enumerate_schedules(budget: int, max_steps: int):
     """All explicit schedules using the full budget with a nonempty first
     step, trailing zeros stripped."""
-    seen = set()
     for length in range(1, max_steps + 1):
         for combo in itertools.product(range(budget + 1), repeat=length):
-            if sum(combo) != budget or combo[0] < 1 or (length > 1 and combo[-1] == 0):
-                continue
-            if combo not in seen:
-                seen.add(combo)
+            if sum(combo) == budget and combo[0] >= 1 and combo[-1] != 0:
                 yield combo
 
 

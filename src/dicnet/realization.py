@@ -137,7 +137,4 @@ def condition_sample(net: DicNetwork, y: PartialRealization, rng) -> FullRealiza
     for e, bit in y.resolved_attempts.items():
         value = y.revealed_draws.get(e, base.edge_draws[e][0])
         draws[e] = (value, bit)
-    for e, value in y.revealed_draws.items():
-        if e in y.resolved_attempts:
-            draws[e] = (value, y.resolved_attempts[e])
     return FullRealization(tuple(seeds), tuple(draws))

@@ -247,11 +247,18 @@ def test_malformed_numeric_settings_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for bad in ({"reps": "3"}, {"delta": "x"}, {"workers": "2"},
                 {"workers": 0}, {"seed": 1.5}, {"R": True}, {"reps": 2.0},
-                {"delta": True}, {"budgets": 1}):
-        cfg.write_text(json.dumps({"budgets": "1", "reps": 2, **bad}))
-        assert main(["run", "--fixture", "two-node", "--strategies", "random",
-                     "--config", str(cfg), "--out", out]) == 2, bad
+                {"delta": True}, {"budgets": 1}, {"preset": 5},
+                {"strategies": 5}, {"out": 5}, {"net": 5}, {"gen": 5},
+                {"fixture": [1]}):
+        cfg.write_text(json.dumps({"fixture": "two-node", "budgets": "1",
+                                   "reps": 2, "strategies": "random",
+                                   "out": out, **bad}))
+        assert main(["run", "--config", str(cfg)]) == 2, bad
         assert _one_line_error(capsys), bad
+    cfg.write_text(json.dumps({"policy": 5}))
+    assert main(["oracle", "exact-value", "--fixture", "two-node",
+                 "--budgets", "1", "--config", str(cfg)]) == 2
+    assert _one_line_error(capsys)
     assert main(["oracle", "properties", "--fixture", "g1", "--budgets", "1",
                  "--trials", "-1"]) == 2
     assert "--trials must be an integer >= 0" in capsys.readouterr().err
@@ -279,6 +286,8 @@ def test_activation_is_checked_and_applied_for_every_source(tmp_path, capsys):
         assert main([*base, "--fixture", "two-node", *extra]) == 0
         return float(_read_rows(out + ".summary.csv")[1][3])
 
-    # the flags now reach the fixture: the default f1:0.01 edge law replaces
-    # the fixture's two-point law (mean 0.48) once an override is given
-    assert mean(["--activation", "1.0"]) < mean([])
+    # each flag replaces only its own part of the fixture (activation 1.0,
+    # two-point edge law of mean 0.48), and only when not at its default
+    plain = mean([])
+    assert mean(["--activation", "1.0"]) == plain
+    assert mean(["--preset", "f1:0.02"]) < plain

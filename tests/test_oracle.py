@@ -9,6 +9,7 @@ Key constants are frozen from hand calculations:
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +172,19 @@ def test_greedy_induction_agrees_with_simulator_policy():
         net = random_tiny_network(np.random.default_rng(700 + t))
         via_induction = greedy_adaptive_value(net)
         via_simulator = exact_policy_value(net, lambda: ExactGainPolicy(net))
+        assert via_induction == pytest.approx(via_simulator, abs=1e-9)
+
+
+def test_pattern_induction_agrees_with_simulator_static_seeds():
+    # the all-at-once pattern through two independent code paths: belief-state
+    # backward induction vs. the best static seed set driving the simulator
+    for t in range(6):
+        net = random_tiny_network(np.random.default_rng(1100 + t), max_nodes=3)
+        via_induction = optimal_adaptive_value(net, (net.budget,))
+        via_simulator = max(
+            exact_policy_value(net, lambda: StaticSeedListPolicy(seeds))
+            for seeds in itertools.combinations(range(net.node_count),
+                                                net.budget))
         assert via_induction == pytest.approx(via_simulator, abs=1e-9)
 
 
