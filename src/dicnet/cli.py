@@ -59,14 +59,55 @@ def parse_budgets(text: str) -> list[int]:
         raise ConfigError(f"bad budget grid {text!r}") from None
 
 
-def _resolve_network(args, budget: int):
-    """The configured network with the given seeding budget."""
+# Every setting and its default, in the order .meta.json records them.  The
+# default's type is the setting's type; a None default means a string or null.
+SETTINGS = {"net": None, "gen": None, "fixture": "g1", "preset": "f1:0.01",
+            "activation": 0.5, "budgets": "1..3", "reps": 100, "R": 10000,
+            "R_pre": 2000, "seed": 0, "workers": 1, "delta": 0.01,
+            "out": "results.csv",
+            "strategies": ",".join(STRATEGIES),
+            "trials": 1000, "policy": "empty"}
+# the settings of one command only; every other setting belongs to all
+_OWNER = {"strategies": "run", "trials": "oracle", "policy": "oracle"}
+# smallest allowed value of the bounded integer settings
+_LOWER = {"R": 1, "R_pre": 1, "reps": 1, "workers": 1, "trials": 0}
+# the value types a default's type admits (bools are not numbers here)
+_ADMITS = {type(None): ((str, type(None)), "a string"),
+           str: ((str,), "a string"), int: ((int,), "an integer"),
+           float: ((int, float), "a number")}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_settings(args):
+    """Reject malformed settings, typed or from --config, before any work
+    starts."""
+    for name, value in vars(args).items():
+        if name not in SETTINGS:           # the command and oracle's subject
+            continue
+        types, kind = _ADMITS[type(SETTINGS[name])]
+        low = _LOWER.get(name)
+        if type(value) not in types or (low is not None and value < low):
+            bound = "" if low is None else f" >= {low}"
+            raise ConfigError(f"{_flag(name)} must be {kind}{bound}, "
+                              f"got {value!r}")
+    if not 0 < args.delta < 1:
+        raise ConfigError(f"--delta must be a number in (0, 1), got {args.delta!r}")
+
+
+def _resolve_network(args, given, budgets=(1,)):
+    """The configured network with seeding budget budgets[0], after checking
+    every budget against its node count.  A given --preset replaces the
+    edge law of a --net or --fixture network, and a given --activation its
+    activation."""
     preset = parse_preset(args.preset, args.activation)
     if args.gen:
         try:
             n_s, m_s, s_s = args.gen.split(",")
             n, m, s = int(n_s), int(m_s), int(s_s)
-        except (AttributeError, ValueError):
+        except ValueError:
             raise ConfigError(f"bad --gen spec {args.gen!r}") from None
         net = generate_power_law(n, m, s, preset, budget=1)
     else:
@@ -76,44 +117,25 @@ def _resolve_network(args, budget: int):
             net = FIXTURES[args.fixture]()
         else:
             raise ConfigError(f"unknown fixture {args.fixture!r}")
-        # each flag sets its own part of the network unless at its default
-        if args.preset != DEFAULT_PRESET:
+        if "preset" in given:
             edges = tuple((u, w, preset.distribution) for u, w, _ in net.edges)
             net = dataclasses.replace(net, edges=edges)
-        if args.activation != DEFAULT_ACTIVATION:
+        if "activation" in given:
             net = dataclasses.replace(
                 net, activation=(preset.activation,) * net.node_count)
-    if not 1 <= budget <= net.node_count:
-        raise ConfigError(f"budget {budget} outside [1, {net.node_count}]")
-    return dataclasses.replace(net, budget=budget)
+    bad = [b for b in budgets if not 1 <= b <= net.node_count]
+    if bad:
+        raise ConfigError(f"budget {bad[0]} outside [1, {net.node_count}]")
+    return dataclasses.replace(net, budget=budgets[0])
 
 
-# integer settings and their smallest allowed value (None: any integer)
-_INT_SETTINGS = {"R": 1, "R_pre": 1, "reps": 1, "workers": 1, "trials": 0,
-                 "seed": None}
-# string settings, and whether they may be null
-_STR_SETTINGS = {"preset": False, "strategies": False, "out": False,
-                 "policy": False, "budgets": False, "fixture": False,
-                 "net": True, "gen": True}
-
-
-def _check_settings(args):
-    """Reject malformed settings, typed or from --config, before any work
-    starts.  Bools are not numbers here."""
-    for name, nullable in _STR_SETTINGS.items():
-        value = getattr(args, name, "")    # some belong to one command only
-        if type(value) is not str and not (nullable and value is None):
-            raise ConfigError(f"--{name} must be a string, got {value!r}")
-    for name, low in _INT_SETTINGS.items():
-        if not hasattr(args, name):        # `trials` belongs to `oracle` only
-            continue
-        value = getattr(args, name)
-        if type(value) is not int or (low is not None and value < low):
-            flag = "--" + name.replace("_", "-")
-            bound = "" if low is None else f" >= {low}"
-            raise ConfigError(f"{flag} must be an integer{bound}, got {value!r}")
-    if type(args.delta) not in (int, float) or not 0 < args.delta < 1:
-        raise ConfigError(f"--delta must be a number in (0, 1), got {args.delta!r}")
+def _one_budget(args) -> list[int]:
+    """The budget grid of a command that runs at a single budget."""
+    budgets = parse_budgets(args.budgets)
+    if len(budgets) > 1:
+        raise ConfigError(f"{args.command} takes one budget, "
+                          f"got {args.budgets!r}")
+    return budgets
 
 
 def _make_factory(strategy: str, net, args):
@@ -140,16 +162,14 @@ def _make_factory(strategy: str, net, args):
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, given) -> int:
     strategies = [s.strip() for s in args.strategies.split(",")]
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; "
                               f"choose from {', '.join(STRATEGIES)}")
     budgets = parse_budgets(args.budgets)
-    base = _resolve_network(args, budgets[0])
-    if not all(1 <= b <= base.node_count for b in budgets):
-        raise ConfigError(f"budget grid {budgets} outside [1, {base.node_count}]")
+    base = _resolve_network(args, given, budgets)
     out = args.out
     summary_path = out + ".summary.csv"
     meta_path = out + ".meta.json"
@@ -185,7 +205,7 @@ def cmd_run(args) -> int:
                                  repr(c["half_width"])])
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump({"version": __version__,
-                       "config": _config_dict(args),
+                       "config": vars(args),
                        "cells": cells}, fh, indent=2)
             fh.write("\n")
     except BaseException:
@@ -197,9 +217,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_prune_stats(args) -> int:
-    budgets = parse_budgets(args.budgets)
-    net = _resolve_network(args, budgets[0])
+def cmd_prune_stats(args, given) -> int:
+    net = _resolve_network(args, given, _one_budget(args))
     rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
     _, stats = h_greedy_prune(net, args.R_pre, rng)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -212,7 +231,7 @@ def cmd_prune_stats(args) -> int:
                    "mean": stats["mean"], "std": stats["std"],
                    "threshold": stats["threshold"],
                    "pruned_fraction": stats["pruned_fraction"],
-                   "config": _config_dict(args)}, fh, indent=2)
+                   "config": vars(args)}, fh, indent=2)
         fh.write("\n")
     print(f"mean={stats['mean']:.4f} std={stats['std']:.4f} "
           f"pruned_fraction={stats['pruned_fraction']:.3f}")
@@ -239,9 +258,8 @@ _ORACLE_ALIASES = {"pattern-optimality": "theorem1",
                    "greedy-guarantee": "theorem2"}
 
 
-def cmd_oracle(args) -> int:
-    budgets = parse_budgets(args.budgets)
-    net = _resolve_network(args, budgets[0])
+def cmd_oracle(args, given) -> int:
+    net = _resolve_network(args, given, _one_budget(args))
     args.subject = _ORACLE_ALIASES.get(args.subject, args.subject)
     if args.subject == "properties":
         rng = substream(args.seed, 0, 42)
@@ -278,44 +296,47 @@ def cmd_oracle(args) -> int:
     raise ConfigError(f"unknown oracle subject {args.subject!r}")
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, given) -> int:
     if not args.gen:
         raise ConfigError("gen requires --gen n,edges,seed")
-    net = _resolve_network(args, 1)        # the generator validates the net
+    net = _resolve_network(args, given)    # the generator validates the net
     save_network(net, args.out)
     print(f"wrote {net.node_count} nodes, {len(net.edges)} edges to {args.out}")
     return 0
 
 
-DEFAULT_PRESET = "f1:0.01"
-DEFAULT_ACTIVATION = 0.5
 FIXTURES = {"g1": fixture_g1, "two-node": two_node_fixture}
+COMMANDS = {"run": cmd_run, "prune-stats": cmd_prune_stats,
+            "oracle": cmd_oracle, "gen": cmd_gen}
+
+
+def _option(p, name: str, **kw):
+    """The flag of a setting, typed like its default.  It has no default of
+    its own, so parsing returns only the flags that were typed."""
+    default = SETTINGS[name]
+    p.add_argument(_flag(name), type=str if default is None else type(default),
+                   **kw)
 
 
 def _add_common(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group()
-    src.add_argument("--net", help="network JSON file")
-    src.add_argument("--gen", metavar="n,edges,seed",
-                     help="generate a power-law network")
-    src.add_argument("--fixture", default="g1", choices=tuple(FIXTURES),
-                     help="built-in demo network")
-    p.add_argument("--preset", default=DEFAULT_PRESET,
-                   help="edge law: f1:p | f2:mean,bins | f3:v1,v2,...")
-    p.add_argument("--activation", type=float, default=DEFAULT_ACTIVATION,
-                   help="seed-activation probability for all nodes")
-    p.add_argument("--budgets", default="1..3", help="a..b[:step] or list")
-    p.add_argument("--reps", type=int, default=100,
-                   help="replications per (strategy, budget) cell")
-    p.add_argument("--R", type=int, default=10000,
-                   help="gain-estimation sample size")
-    p.add_argument("--R-pre", dest="R_pre", type=int, default=2000,
-                   help="pruning prepass sample size")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--delta", type=float, default=0.01,
-                   help="confidence parameter for reported half-widths")
-    p.add_argument("--out", default="results.csv")
-    p.add_argument("--config", help="JSON file of defaults for these flags")
+    _option(src, "net", help="network JSON file")
+    _option(src, "gen", metavar="n,edges,seed",
+            help="generate a power-law network")
+    _option(src, "fixture", choices=tuple(FIXTURES),
+            help="built-in demo network")
+    _option(p, "preset", help="edge law: f1:p | f2:mean,bins | f3:v1,v2,...")
+    _option(p, "activation", help="seed-activation probability for all nodes")
+    _option(p, "budgets", help="a..b[:step] or list")
+    _option(p, "reps", help="replications per (strategy, budget) cell")
+    _option(p, "R", help="gain-estimation sample size")
+    _option(p, "R_pre", help="pruning prepass sample size")
+    _option(p, "seed", help="master seed")
+    _option(p, "workers")
+    _option(p, "delta", help="confidence parameter for reported half-widths")
+    _option(p, "out")
+    p.add_argument("--config",
+                   help="JSON object of settings; typed flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,81 +345,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cascade-diffusion experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="strategy/budget sweep to CSV")
-    _add_common(p_run)
-    p_run.add_argument("--strategies", default="random,greedy,a-greedy,h-greedy")
-    p_run.set_defaults(func=cmd_run)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help,
+                           argument_default=argparse.SUPPRESS)
+        _add_common(p)
+        return p
 
-    p_prune = sub.add_parser("prune-stats",
-                             help="single-seed spread estimates per node")
-    _add_common(p_prune)
-    p_prune.set_defaults(func=cmd_prune_stats)
-
-    p_oracle = sub.add_parser("oracle", help="exact checks on tiny instances")
-    _add_common(p_oracle)
+    _option(command("run", "strategy/budget sweep to CSV"), "strategies")
+    command("prune-stats", "single-seed spread estimates per node")
+    p_oracle = command("oracle", "exact checks on tiny instances")
     p_oracle.add_argument("subject",
                           choices=("properties", "theorem1", "theorem2",
                                    "pattern-optimality", "greedy-guarantee",
                                    "exact-value"),
                           help="pattern-optimality and greedy-guarantee are "
                                "aliases for theorem1 and theorem2")
-    p_oracle.add_argument("--trials", type=int, default=1000)
-    p_oracle.add_argument("--policy", default="empty",
-                          help="for exact-value: empty | static:v1,v2,...")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_gen = sub.add_parser("gen", help="generate and save a power-law network")
-    _add_common(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
+    _option(p_oracle, "trials")
+    _option(p_oracle, "policy",
+            help="for exact-value: empty | static:v1,v2,...")
+    command("gen", "generate and save a power-law network")
     return parser
 
 
-def _config_dict(args) -> dict:
-    skip = {"func", "config"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _explicit_args(argv):
-    """Namespace holding only the options the user actually typed, found by
-    re-parsing with every default suppressed."""
-    probe = build_parser()
-    stack = [probe]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            else:
-                action.default = argparse.SUPPRESS
-    return probe.parse_args(argv)
+def _load_config(path: str, names) -> dict:
+    """The settings a --config file gives: a JSON object of setting names."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            fields = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"bad config file: {exc}") from None
+    if type(fields) is not dict:
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
+    unknown = set(fields) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown config fields {sorted(unknown)}")
+    return fields
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except json.JSONDecodeError as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return 2
-        unknown = set(defaults) - set(vars(args))
-        if unknown:
-            print(f"error: unknown config fields {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
-        # config supplies defaults; anything typed on the command line wins
-        explicit = vars(_explicit_args(argv))
-        for key, value in defaults.items():
-            if key not in explicit:
-                setattr(args, key, value)
+    typed = vars(build_parser().parse_args(argv))
+    command = typed["command"]
+    names = [k for k in SETTINGS if _OWNER.get(k, command) == command]
+    path = typed.pop("config", None)
     try:
+        fields = _load_config(path, names) if path else {}
+        # the defaults, overridden by --config, overridden by typed flags
+        args = argparse.Namespace(**{"command": command,
+                                     **{k: SETTINGS[k] for k in names},
+                                     **fields, **typed})
         _check_settings(args)
-        return args.func(args)
+        return COMMANDS[command](args, set(fields) | set(typed))
     except (ConfigError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,17 +119,17 @@ def load_edge_list(path: str, preset: PresetSpec, budget: int,
 
 def generate_power_law(n: int, edges_target: int, rng_seed: int,
                        preset: PresetSpec, budget: int,
-                       skew: float = 0.0, pa_power: float = 2.0) -> DicNetwork:
+                       skew: float = 0.0) -> DicNetwork:
     """Preferential-attachment graph with reciprocated edges and a
     heavy-tailed degree sequence, hitting edges_target directed edges.
 
     Nodes arrive in order; node i brings a stub count skewed toward early
     arrivals (so hubs emerge even at a high average degree) and wires each
-    stub to an existing node chosen with probability proportional to
-    degree**pa_power.  Every undirected pair is stored as two directed
-    edges.  `skew` controls how steeply the stub budget concentrates on
-    early arrivals (larger values give a denser core and more degree-poor
-    fringe nodes); `pa_power` > 1 sharpens the hub hierarchy.
+    stub to an existing node chosen with probability proportional to the
+    square of its degree, which sharpens the hub hierarchy.  Every
+    undirected pair is stored as two directed edges.  `skew` controls how
+    steeply the stub budget concentrates on early arrivals (larger values
+    give a denser core and more degree-poor fringe nodes).
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
@@ -171,7 +171,7 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     pairs: list[tuple[int, int]] = []
     for i in range(1, n):
         want = int(stubs[i - 1])
-        weights = degree[:i] ** pa_power
+        weights = degree[:i] ** 2.0
         picked: list[int] = []
         for _ in range(want):
             if weights.sum() <= 0:

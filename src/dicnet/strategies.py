@@ -301,8 +301,7 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     return candidates, stats
 
 
-def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng,
-                         include_seed_failure: bool = True):
+def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     """Hill-climbing selection on the mean-field network.
 
     Collapses every edge distribution to its mean, then CELF-greedily picks
@@ -311,10 +310,7 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng,
     """
     n = net.node_count
     live = rng.random((replications, len(net.edges))) < net.edge_arrays[2]
-    if include_seed_failure:
-        success = rng.random((replications, n)) < np.array(net.activation)
-    else:
-        success = np.ones((replications, n), bool)
+    success = rng.random((replications, n)) < np.array(net.activation)
     worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
     _add_live_edges(worlds, net, *np.nonzero(live))
     covered: list[set[int]] = [set() for _ in range(replications)]

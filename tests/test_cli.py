@@ -9,6 +9,7 @@ import pytest
 import dicnet.cli
 from dicnet.cli import CSV_HEADER, ConfigError, main, parse_budgets
 from dicnet.data import generate_power_law, load_network, parse_preset, save_network
+from dicnet.fixtures import two_node_fixture
 from dicnet.model import DicNetwork
 
 
@@ -214,6 +215,15 @@ def test_budgets_and_static_seeds_out_of_range_exit_2(tmp_path, capsys):
     assert main(["prune-stats", "--gen", "5,8,1", "--budgets", "6",
                  "--out", out]) == 2
     assert "budget 6 outside [1, 5]" in capsys.readouterr().err
+    # oracle and prune-stats run at one budget, not at the first of a grid
+    assert main(["oracle", "theorem2", "--fixture", "g1",
+                 "--budgets", "1..3"]) == 2
+    assert capsys.readouterr().err == ("error: oracle takes one budget, "
+                                       "got '1..3'\n")
+    assert main(["prune-stats", "--fixture", "g1", "--budgets", "1,2",
+                 "--R-pre", "20", "--out", out]) == 2
+    assert _one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
     assert main(["oracle", "exact-value", "--fixture", "two-node",
                  "--budgets", "1", "--policy", "static:7"]) == 2
     assert "static seeds [7] outside [0, 2)" in capsys.readouterr().err
@@ -255,6 +265,10 @@ def test_malformed_numeric_settings_exit_2(tmp_path, capsys):
                                    "out": out, **bad}))
         assert main(["run", "--config", str(cfg)]) == 2, bad
         assert _one_line_error(capsys), bad
+    for bad in ("5", "null", "[{}]", '"ab"'):     # not a JSON object
+        cfg.write_text(bad)
+        assert main([*base, "--config", str(cfg)]) == 2, bad
+        assert _one_line_error(capsys), bad
     cfg.write_text(json.dumps({"policy": 5}))
     assert main(["oracle", "exact-value", "--fixture", "two-node",
                  "--budgets", "1", "--config", str(cfg)]) == 2
@@ -287,7 +301,33 @@ def test_activation_is_checked_and_applied_for_every_source(tmp_path, capsys):
         return float(_read_rows(out + ".summary.csv")[1][3])
 
     # each flag replaces only its own part of the fixture (activation 1.0,
-    # two-point edge law of mean 0.48), and only when not at its default
+    # two-point edge law of mean 0.48)
     plain = mean([])
     assert mean(["--activation", "1.0"]) == plain
     assert mean(["--preset", "f1:0.02"]) < plain
+
+
+def test_preset_and_activation_override_whenever_given(tmp_path, capsys):
+    # typed or from --config, at any value, the default included
+    net_path = str(tmp_path / "two.json")
+    save_network(two_node_fixture(), net_path)
+
+    def exact(*extra):
+        assert main(["oracle", "exact-value", "--budgets", "1",
+                     "--policy", "static:0", *extra]) == 0
+        return float(capsys.readouterr().out.split("=")[1])
+
+    assert exact("--net", net_path) == pytest.approx(1.48)
+    assert exact("--net", net_path, "--preset", "f1:0.01") == pytest.approx(1.01)
+    assert exact("--fixture", "two-node",
+                 "--activation", "0.5") == pytest.approx(0.74)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "f1:0.01", "activation": 0.5}))
+    assert exact("--net", net_path,
+                 "--config", str(cfg)) == pytest.approx(0.505)
+    out = str(tmp_path / "r.csv")
+    assert main(["run", "--fixture", "two-node", "--budgets", "1",
+                 "--reps", "400", "--R", "1000", "--strategies", "greedy",
+                 "--activation", "0.5", "--out", out]) == 0
+    _, _, _, mean, hw = _read_rows(out + ".summary.csv")[1]
+    assert abs(float(mean) - 0.74) <= float(hw)

@@ -6,13 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicnet.estimator import (Estimate, _LazyRng, _StreamPool,
                               estimate_policy_spread, half_width,
                               hoeffding_samples, run_replications, substream)
-from dicnet.fixtures import two_node_fixture
+from dicnet.fixtures import random_tiny_network, two_node_fixture
 from dicnet.model import DicNetwork
-from dicnet.strategies import static_seed_factory
+from dicnet.oracle import exact_policy_value
+from dicnet.strategies import StaticSeedListPolicy, static_seed_factory
 
 
 def _one_node(p=0.5):
@@ -145,3 +148,19 @@ def test_hoeffding_coverage_holds_empirically():
         if abs(est.mean - 0.5) > est.half_width:
             misses += 1
     assert misses / 200 <= delta
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_estimate_within_half_width_of_exact_value(seed):
+    # the Monte Carlo estimate of a static seed list agrees with the exact
+    # value by enumeration, within its Hoeffding half-width at delta 1e-6
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=3)
+    size = int(rng.integers(1, net.budget + 1))
+    seeds = tuple(int(v) for v in rng.choice(net.node_count, size, replace=False))
+    exact = exact_policy_value(net, lambda: StaticSeedListPolicy(seeds))
+    est = estimate_policy_spread(net, functools.partial(static_seed_factory,
+                                                        seeds),
+                                 4000, master_seed=seed, delta=1e-6)
+    assert abs(est.mean - exact) <= est.half_width
