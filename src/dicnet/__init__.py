@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .model import (DicNetwork, PropagationDistribution, fixed_distribution,
                     mean_propagation, quantize_exponential,
                     uniform_discrete_distribution, validate_network)
-from .realization import (FullRealization, PartialRealization,
-                          condition_sample, empty_partial, is_compatible,
+from .realization import (FullRealization, PartialRealization, empty_partial,
                           probability_of, sample_full)
 from .diffusion import (EMPTY_COMMAND, DiffusionState, InvalidCommand,
                         PolicyRun, SeedCommand, run_policy, run_to_quiescence,

@@ -41,8 +41,8 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_budgets(text: str) -> list[int]:
-    """'a..b', 'a..b:step', a single integer, or a comma list."""
+def _budget_grid(text: str):
+    """'a..b', 'a..b:step', an integer or a comma list; a span stays a range."""
     try:
         if ".." in text:
             span, _, step_s = text.partition(":")
@@ -51,12 +51,16 @@ def parse_budgets(text: str) -> list[int]:
             step = int(step_s) if step_s else 1
             if step < 1 or b < a:
                 raise ValueError
-            return list(range(a, b + 1, step))
+            return range(a, b + 1, step)
         if "," in text:
             return [int(t) for t in text.split(",")]
         return [int(text)]
     except (TypeError, ValueError):
         raise ConfigError(f"bad budget grid {text!r}") from None
+
+
+def parse_budgets(text: str) -> list[int]:
+    return list(_budget_grid(text))
 
 
 # Every setting and its default, in the order .meta.json records them.  The
@@ -123,16 +127,16 @@ def _resolve_network(args, given, budgets=(1,)):
         if "activation" in given:
             net = dataclasses.replace(
                 net, activation=(preset.activation,) * net.node_count)
-    bad = [b for b in budgets if not 1 <= b <= net.node_count]
-    if bad:
-        raise ConfigError(f"budget {bad[0]} outside [1, {net.node_count}]")
+    bad = next((b for b in budgets if not 1 <= b <= net.node_count), None)
+    if bad is not None:
+        raise ConfigError(f"budget {bad} outside [1, {net.node_count}]")
     return dataclasses.replace(net, budget=budgets[0])
 
 
-def _one_budget(args) -> list[int]:
+def _one_budget(args):
     """The budget grid of a command that runs at a single budget."""
-    budgets = parse_budgets(args.budgets)
-    if len(budgets) > 1:
+    budgets = _budget_grid(args.budgets)
+    if budgets[1:]:
         raise ConfigError(f"{args.command} takes one budget, "
                           f"got {args.budgets!r}")
     return budgets
@@ -168,7 +172,7 @@ def cmd_run(args, given) -> int:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; "
                               f"choose from {', '.join(STRATEGIES)}")
-    budgets = parse_budgets(args.budgets)
+    budgets = _budget_grid(args.budgets)
     base = _resolve_network(args, given, budgets)
     out = args.out
     summary_path = out + ".summary.csv"

@@ -231,7 +231,7 @@ def _dist_from_json(obj: dict, where: str) -> PropagationDistribution:
             return quantize_exponential(float(obj["mean"]), int(obj["bins"]))
     except KeyError as exc:
         raise SchemaError(f"{where}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: bad dist: {exc}") from None
     raise SchemaError(f"{where}: unknown dist type {kind!r}")
 
@@ -270,7 +270,7 @@ def load_network(path: str) -> DicNetwork:
         act = doc["activation"]
         activation = ((float(act),) * n if isinstance(act, (int, float))
                       else tuple(float(a) for a in act))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad nodes, budget or activation: {exc}") from None
     edges = []
     for i, e in enumerate(doc["edges"]):
@@ -282,7 +282,7 @@ def load_network(path: str) -> DicNetwork:
                 raise SchemaError(f"{where}: missing field {field!r}")
         try:
             ends = int(e["src"]), int(e["dst"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{where}: bad endpoint: {exc}") from None
         edges.append((*ends, _dist_from_json(e["dist"], where)))
     net = DicNetwork(n, activation, tuple(edges), budget)

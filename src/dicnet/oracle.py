@@ -11,13 +11,12 @@ desk-scale instances and exists to cross-check the Monte Carlo side.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .diffusion import EMPTY_COMMAND, SeedCommand, run_policy, spread_count
 from .model import DicNetwork
-from .realization import FullRealization, PartialRealization, sample_full
+from .realization import FullRealization, sample_full
 from .strategies import _eligible_nodes, observably_quiescent
 
 ENUMERATION_GUARD = 2 ** 24
@@ -116,20 +115,22 @@ def exact_policy_value(net: DicNetwork, policy_factory) -> float:
 # belief-state engine
 #
 # A belief captures everything future dynamics can depend on: the active set,
-# per-node consumed attempt counts, the set of edges whose single attempt has
-# been spent, and the pending revealed draws on frontier out-edges toward
-# inactive targets (those get attempted next round).  Revealed draws on edges
-# toward already-active targets never matter again and are marginalized out.
+# per-node consumed attempt counts, and the pending revealed draws on frontier
+# out-edges toward inactive targets (those get attempted next round).  Revealed
+# draws on edges toward already-active targets never matter again and are
+# marginalized out.  Spent edges are not recorded: only active nodes attempt
+# edges, and a node turning active was inactive until now, so none of its
+# out-edges is spent.
 # ---------------------------------------------------------------------------
 
 
 def _initial_belief(net: DicNetwork):
-    return (frozenset(), (0,) * net.node_count, frozenset(), ())
+    return (frozenset(), (0,) * net.node_count, ())
 
 
 def _round_branches(net: DicNetwork, belief, seeds):
     """All outcomes of one simultaneous round: list of (prob, belief)."""
-    active, consumed, used, pending = belief
+    active, consumed, pending = belief
     # each seeding attempt and each pending edge attempt either hits its
     # node or misses (None)
     options = []
@@ -138,7 +139,6 @@ def _round_branches(net: DicNetwork, belief, seeds):
         options.append(((v, p), (None, 1.0 - p)))
     for eidx, value in pending:
         options.append(((net.edges[eidx][1], value), (None, 1.0 - value)))
-    new_used = used | frozenset(e for e, _ in pending)
     new_consumed = list(consumed)
     for v in seeds:
         new_consumed[v] += 1
@@ -159,41 +159,40 @@ def _round_branches(net: DicNetwork, belief, seeds):
         reveal_opts = []
         for z in sorted(newly):
             for eidx, w in net.out_edges[z]:
-                if w in new_active or eidx in new_used:
+                if w in new_active:
                     continue
                 dist = net.edges[eidx][2]
                 reveal_opts.append(tuple(((eidx, value), mass)
                                          for value, mass in zip(dist.values, dist.masses)))
         for reveal in itertools.product(*reveal_opts):
             rprob = prob
-            new_pending = []
-            for (eidx, value), mass in reveal:
+            for _, mass in reveal:
                 rprob *= mass
-                new_pending.append((eidx, value))
             if rprob == 0.0:
                 continue
-            out.append((rprob, (new_active, new_consumed, new_used,
-                                tuple(sorted(new_pending)))))
+            out.append((rprob, (new_active, new_consumed,
+                                tuple(sorted(draw for draw, _ in reveal)))))
     return out
 
 
 def _eligible(net: DicNetwork, belief):
-    active, consumed, _, _ = belief
+    active, consumed, _ = belief
     return [v for v in range(net.node_count)
             if v not in active and consumed[v] < net.budget]
 
 
-def exact_marginal_gain_from_parts(net: DicNetwork, active, blocked, v) -> float:
-    """Exact conditional marginal gain of seeding v now, given the active set
-    and the set of spent edges: activation probability times the expected
-    number of inactive nodes reached through fresh live edges (v included)."""
+def exact_marginal_gain(net: DicNetwork, active, v) -> float:
+    """Exact conditional gain of seeding v now, given the active set: v's
+    activation probability times the expected number of inactive nodes v
+    reaches (v included).  Every spent edge starts at an active node, which
+    the search never enters, so no spent-edge mask is needed."""
     relevant = []
     seen = {v}
     stack = [v]
     while stack:
         u = stack.pop()
         for eidx, w in net.out_edges[u]:
-            if eidx in blocked or w in active:
+            if w in active:
                 continue
             relevant.append(eidx)
             if w not in seen:
@@ -225,11 +224,6 @@ def exact_marginal_gain_from_parts(net: DicNetwork, active, blocked, v) -> float
                     queue.append(w)
         expected += prob * len(reach)
     return net.activation[v] * expected
-
-
-def exact_marginal_gain(net: DicNetwork, y: PartialRealization, v) -> float:
-    blocked = frozenset(y.resolved_attempts)
-    return exact_marginal_gain_from_parts(net, frozenset(y.active), blocked, v)
 
 
 def _induction(net: DicNetwork, moves) -> float:
@@ -266,14 +260,14 @@ def _adaptive_moves(net: DicNetwork, greedy: bool):
     greedy."""
 
     def moves(belief, step):
-        active, consumed, used, pending = belief
+        active, consumed, pending = belief
         if pending:
             return ((),), step              # wait for the cascade to settle
         elig = _eligible(net, belief)
         if sum(consumed) >= net.budget or not elig:
             return None
         if greedy:
-            return ((_exact_argmax(net, active, used, elig),),), step
+            return ((_exact_argmax(net, active, elig),),), step
         return [(v,) for v in elig], step
 
     return moves
@@ -284,7 +278,7 @@ def _pattern_moves(net: DicNetwork, schedule):
     schedule the cascade drains."""
 
     def moves(belief, i):
-        _, consumed, _, pending = belief
+        _, consumed, pending = belief
         if i == len(schedule):
             return (((),), i) if pending else None
         elig = _eligible(net, belief)
@@ -294,12 +288,12 @@ def _pattern_moves(net: DicNetwork, schedule):
     return moves
 
 
-def _exact_argmax(net: DicNetwork, active, blocked, eligible):
+def _exact_argmax(net: DicNetwork, active, eligible):
     """The eligible node with the largest exact marginal gain; ties (within
     1e-12) go to the earliest in `eligible`."""
     best, best_gain = None, -1.0
     for v in eligible:
-        gain = exact_marginal_gain_from_parts(net, active, blocked, v)
+        gain = exact_marginal_gain(net, active, v)
         if gain > best_gain + 1e-12:
             best, best_gain = v, gain
     return best
@@ -327,8 +321,7 @@ class ExactGainPolicy:
         if not elig:
             return None
         self.gain_evaluations += len(elig)
-        best = _exact_argmax(net, frozenset(partial.active),
-                             frozenset(partial.resolved_attempts), elig)
+        best = _exact_argmax(net, partial.active, elig)
         self.selections.append(best)
         return SeedCommand(frozenset({best}))
 

@@ -99,42 +99,3 @@ def probability_of(net: DicNetwork, x: FullRealization) -> float:
         logp += _ln(dist.masses[k])
         logp += _ln(value) if success else _ln(1.0 - value)
     return logp
-
-
-def is_compatible(x: FullRealization, y: PartialRealization) -> bool:
-    """True iff every observation recorded in y matches x."""
-    for v, observed in enumerate(y.attempts):
-        if tuple(observed) != x.seed_outcomes[v][: len(observed)]:
-            return False
-    for e, value in y.revealed_draws.items():
-        if x.edge_draws[e][0] != value:
-            return False
-    for e, bit in y.resolved_attempts.items():
-        if x.edge_draws[e][1] != bit:
-            return False
-    return True
-
-
-def condition_sample(net: DicNetwork, y: PartialRealization, rng) -> FullRealization:
-    """Sample a full realization from the prior restricted to those
-    compatible with y: observed coordinates are copied, the rest drawn fresh.
-    """
-    base = sample_full(net, rng)
-    seeds = list(base.seed_outcomes)
-    for v, observed in enumerate(y.attempts):
-        if observed:
-            row = tuple(observed) + base.seed_outcomes[v][len(observed):]
-            seeds[v] = row
-    draws = list(base.edge_draws)
-    # edges with a revealed draw: pin the value; if the attempt is unresolved
-    # its success must be redrawn as Bernoulli of the *observed* value
-    pending = sorted(e for e in y.revealed_draws if e not in y.resolved_attempts)
-    if pending:
-        u = rng.random(len(pending))
-        for i, e in enumerate(pending):
-            value = y.revealed_draws[e]
-            draws[e] = (value, int(u[i] < value))
-    for e, bit in y.resolved_attempts.items():
-        value = y.revealed_draws.get(e, base.edge_draws[e][0])
-        draws[e] = (value, bit)
-    return FullRealization(tuple(seeds), tuple(draws))

@@ -215,6 +215,10 @@ def test_budgets_and_static_seeds_out_of_range_exit_2(tmp_path, capsys):
     assert main(["prune-stats", "--gen", "5,8,1", "--budgets", "6",
                  "--out", out]) == 2
     assert "budget 6 outside [1, 5]" in capsys.readouterr().err
+    # a span is checked against the node count before any list is built
+    assert main(["run", "--fixture", "two-node", "--budgets", "1..100000000000",
+                 "--reps", "2", "--strategies", "random", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: budget 3 outside [1, 2]\n"
     # oracle and prune-stats run at one budget, not at the first of a grid
     assert main(["oracle", "theorem2", "--fixture", "g1",
                  "--budgets", "1..3"]) == 2

@@ -11,6 +11,7 @@ from dicnet.fixtures import fixture_g1, two_node_fixture
 from dicnet.model import mean_propagation, validate_network
 
 PRESET = parse_preset("f1:0.1")
+INF = float("inf")
 
 
 def test_parse_preset_families():
@@ -163,10 +164,25 @@ def test_load_network_errors(tmp_path):
     ({"nodes": 2, "budget": 1, "activation": 0.5,
       "edges": [{"src": 0, "dst": 1, "dist": [0.5]}]},
      "dist must be an object"),
+    # integers too large for a float: 1e400 in the file parses as inf
+    ({"nodes": INF, "budget": 1, "activation": 0.5, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": INF, "activation": 0.5, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": INF, "dst": 1, "dist": {"type": "fixed", "p": 0.5}}]},
+     "bad endpoint"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": INF, "dist": {"type": "fixed", "p": 0.5}}]},
+     "bad endpoint"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "exp", "mean": 0.1, "bins": INF}}]},
+     "bad dist"),
 ])
 def test_load_network_rejects_wrong_json_shapes(tmp_path, doc, message):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc).replace("Infinity", "1e400"))
     with pytest.raises(SchemaError, match=message):
         load_network(path)

@@ -1,15 +1,13 @@
-"""Sampling, likelihood, compatibility, and conditional resampling."""
+"""Prior sampling, partial realizations and likelihoods."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from dicnet.fixtures import TWO_POINT, fixture_g1, two_node_fixture
 from dicnet.model import DicNetwork
-from dicnet.realization import (FullRealization, condition_sample,
-                                empty_partial, is_compatible, probability_of,
+from dicnet.realization import (FullRealization, empty_partial, probability_of,
                                 sample_full)
 
 
@@ -95,68 +93,3 @@ def test_probability_of_sums_to_one_over_support():
                     x = FullRealization(((s0,), (s1,)), ((value, succ),))
                     total += math.exp(probability_of(net, x))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_is_compatible():
-    net = fixture_g1()
-    x = sample_full(net, np.random.default_rng(5))
-    y = empty_partial(net)
-    assert is_compatible(x, y)
-    y.attempts[0] = list(x.seed_outcomes[0][:2])
-    y.revealed_draws[1] = x.edge_draws[1][0]
-    y.resolved_attempts[1] = x.edge_draws[1][1]
-    assert is_compatible(x, y)
-    y.attempts[0][0] = 1 - y.attempts[0][0]
-    assert not is_compatible(x, y)
-    y.attempts[0][0] = 1 - y.attempts[0][0]
-    y.resolved_attempts[1] = 1 - y.resolved_attempts[1]
-    assert not is_compatible(x, y)
-    y.resolved_attempts[1] = 1 - y.resolved_attempts[1]
-    y.revealed_draws[2] = -1.0
-    assert not is_compatible(x, y)
-
-
-def test_condition_sample_pins_observations():
-    net = fixture_g1()
-    rng = np.random.default_rng(9)
-    y = empty_partial(net)
-    y.attempts[1] = [0, 1]
-    y.revealed_draws[2] = 0.8
-    y.resolved_attempts[2] = 0
-    y.revealed_draws[4] = 0.4     # revealed but unresolved
-    for _ in range(50):
-        x = condition_sample(net, y, rng)
-        assert is_compatible(x, y)
-        assert x.seed_outcomes[1][:2] == (0, 1)
-        assert x.edge_draws[2] == (0.8, 0)
-        assert x.edge_draws[4][0] == 0.4
-
-
-def test_condition_sample_unresolved_success_law():
-    # the success bit of a revealed-but-unresolved edge must be
-    # Bernoulli(observed value), independent of the prior draw
-    net = two_node_fixture()
-    y = empty_partial(net)
-    y.revealed_draws[0] = 0.4
-    rng = np.random.default_rng(13)
-    reps = 20000
-    hits = sum(condition_sample(net, y, rng).edge_draws[0][1]
-               for _ in range(reps))
-    # chi-squared goodness of fit at alpha = 0.001
-    chi2 = ((hits - reps * 0.4) ** 2 / (reps * 0.4)
-            + (reps - hits - reps * 0.6) ** 2 / (reps * 0.6))
-    assert chi2 < stats.chi2.ppf(0.999, df=1)
-
-
-def test_condition_sample_unobserved_law_unchanged():
-    # unobserved seed bits keep their prior law after conditioning
-    net = fixture_g1()
-    y = empty_partial(net)
-    y.attempts[0] = [1]
-    rng = np.random.default_rng(17)
-    reps = 20000
-    hits = sum(condition_sample(net, y, rng).seed_outcomes[3][0]
-               for _ in range(reps))
-    chi2 = ((hits - reps * 0.5) ** 2 / (reps * 0.5)
-            + (reps - hits - reps * 0.5) ** 2 / (reps * 0.5))
-    assert chi2 < stats.chi2.ppf(0.999, df=1)

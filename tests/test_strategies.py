@@ -13,7 +13,7 @@ from dicnet.estimator import half_width
 from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
                              star_network, two_node_fixture)
 from dicnet.model import DicNetwork, fixed_distribution
-from dicnet.oracle import exact_marginal_gain, exact_marginal_gain_from_parts
+from dicnet.oracle import exact_marginal_gain
 from dicnet.realization import empty_partial, sample_full
 from dicnet.strategies import (ADAPTIVE_PATTERN, AGreedyPolicy, RandomPolicy,
                                SeedingPattern, StaticSeedListPolicy,
@@ -129,7 +129,7 @@ def test_world_gain_matches_exact_gain():
 
 def test_world_gain_on_chain():
     net = chain_network(4, 0.5, activation=0.8, budget=1)
-    exact = exact_marginal_gain_from_parts(net, frozenset(), frozenset(), 0)
+    exact = exact_marginal_gain(net, frozenset(), 0)
     assert exact == pytest.approx(0.8 * (1 + 0.5 + 0.25 + 0.125), abs=1e-12)
     worlds = sample_worlds(net, 40000, np.random.default_rng(10))
     assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(exact, abs=0.03)
@@ -288,7 +288,7 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
             if v in partial.active:
                 continue
             est = world_gain(net, worlds, v, partial.active)
-            assert abs(est - exact_marginal_gain(net, partial, v)) <= hw
+            assert abs(est - exact_marginal_gain(net, partial.active, v)) <= hw
         checked.append(partial.round_index)
 
     original = dicnet.diffusion.step_round
