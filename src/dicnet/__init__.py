@@ -12,9 +12,8 @@ from .realization import (FullRealization, PartialRealization, empty_partial,
 from .diffusion import (EMPTY_COMMAND, DiffusionState, InvalidCommand,
                         PolicyRun, SeedCommand, run_policy, run_to_quiescence,
                         spread_count, start, step_round)
-from .strategies import (ADAPTIVE_PATTERN, AGreedyPolicy, RandomPolicy,
-                         SeedingPattern, StaticSeedListPolicy, h_greedy_prune,
-                         observably_quiescent, pattern_a0, sample_worlds,
+from .strategies import (AGreedyPolicy, RandomPolicy, StaticSeedListPolicy,
+                         h_greedy_prune, observably_quiescent, sample_worlds,
                          static_greedy_select, world_gain)
 from .estimator import (Estimate, ReplicationResult, estimate_policy_spread,
                         half_width, hoeffding_samples, run_replications,

@@ -25,7 +25,7 @@ from .oracle import (EnumerationGuard, check_properties, enumerate_schedules,
                      exact_policy_value, greedy_adaptive_value,
                      optimal_adaptive_value)
 from .strategies import (AGreedyPolicy, RandomPolicy, h_greedy_prune,
-                         pattern_a0, static_greedy_select, static_seed_factory)
+                         static_greedy_select, static_seed_factory)
 
 CSV_HEADER = ("strategy,budget,replication,spread,rounds_used,seeds_used,"
               "gain_evaluations,wall_time_ms,master_seed")
@@ -146,8 +146,7 @@ def _make_factory(strategy: str, net, args):
     """Policy factory for one (strategy, budget) cell, plus setup info."""
     info = {}
     if strategy == "random":
-        return functools.partial(
-            RandomPolicy, pattern_a0(net.budget, net.node_count)), info
+        return RandomPolicy, info
     if strategy == "greedy":
         rng = substream(args.seed, net.budget, _PURPOSE_SELECT)
         seeds, evals = static_greedy_select(net, net.budget, args.R, rng)

@@ -22,6 +22,14 @@ class SchemaError(ValueError):
     """Malformed network file or edge list."""
 
 
+def _json_number(x, kinds=(int, float)):
+    """x if its type is one of `kinds`: a JSON bool or numeric string is no
+    number, and a fraction is no integer."""
+    if type(x) not in kinds:
+        raise TypeError(f"expected {kinds[-1].__name__}, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class PresetSpec:
     """One propagation distribution applied to every edge, plus a scalar
@@ -219,16 +227,18 @@ def _dist_from_json(obj: dict, where: str) -> PropagationDistribution:
     try:
         kind = obj["type"]
         if kind == "fixed":
-            return fixed_distribution(float(obj["p"]))
+            return fixed_distribution(_json_number(obj["p"]))
         if kind == "uniform":
-            return uniform_discrete_distribution([float(v) for v in obj["values"]])
+            return uniform_discrete_distribution(
+                [_json_number(v) for v in obj["values"]])
         if kind == "discrete":
             support = obj["support"]
             return PropagationDistribution(
-                tuple(float(v) for v, _ in support),
-                tuple(float(m) for _, m in support))
+                tuple(float(_json_number(v)) for v, _ in support),
+                tuple(float(_json_number(m)) for _, m in support))
         if kind == "exp":
-            return quantize_exponential(float(obj["mean"]), int(obj["bins"]))
+            return quantize_exponential(_json_number(obj["mean"]),
+                                        _json_number(obj["bins"], (int,)))
     except KeyError as exc:
         raise SchemaError(f"{where}: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -265,11 +275,12 @@ def load_network(path: str) -> DicNetwork:
     if not isinstance(doc["edges"], list):
         raise SchemaError(f"{path}: edges must be a list")
     try:
-        n = int(doc["nodes"])
-        budget = int(doc["budget"])
+        n = _json_number(doc["nodes"], (int,))
+        budget = _json_number(doc["budget"], (int,))
         act = doc["activation"]
-        activation = ((float(act),) * n if isinstance(act, (int, float))
-                      else tuple(float(a) for a in act))
+        activation = (tuple(float(_json_number(a)) for a in act)
+                      if isinstance(act, list)
+                      else (float(_json_number(act)),) * n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad nodes, budget or activation: {exc}") from None
     edges = []
@@ -281,8 +292,9 @@ def load_network(path: str) -> DicNetwork:
             if field not in e:
                 raise SchemaError(f"{where}: missing field {field!r}")
         try:
-            ends = int(e["src"]), int(e["dst"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            ends = (_json_number(e["src"], (int,)),
+                    _json_number(e["dst"], (int,)))
+        except TypeError as exc:
             raise SchemaError(f"{where}: bad endpoint: {exc}") from None
         edges.append((*ends, _dist_from_json(e["dist"], where)))
     net = DicNetwork(n, activation, tuple(edges), budget)

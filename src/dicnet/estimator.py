@@ -161,10 +161,11 @@ def _map_chunks(chunk_fn, net: DicNetwork, policy_factory, master_seed: int,
     if workers <= 1:
         return [chunk_fn(net, policy_factory, master_seed, 0, replications)]
     chunk = max(1, -(-replications // (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    starts = range(0, replications, chunk)
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
         futures = [pool.submit(chunk_fn, net, policy_factory, master_seed,
                                s, min(s + chunk, replications))
-                   for s in range(0, replications, chunk)]
+                   for s in starts]
         return [f.result() for f in futures]   # submission order
 
 
@@ -173,7 +174,7 @@ def run_replications(net: DicNetwork, policy_factory, replications: int,
     """One policy run per replication, in replication order.
 
     `policy_factory(rng) -> policy` must be picklable when workers > 1
-    (a module-level function or functools.partial of one).
+    (a module-level function or class, or functools.partial of one).
     """
     chunks = _map_chunks(_run_chunk, net, policy_factory, master_seed,
                          replications, workers)

@@ -87,8 +87,8 @@ def quantize_exponential(mean: float, bins: int) -> PropagationDistribution:
     `bins` bins of mass 1/bins; each atom sits at the conditional mean of
     min(X, 1) over its bin.  Mass beyond 1 collapses into a top atom at 1.
     """
-    if mean <= 0.0:
-        raise ValueError("mean must be positive")
+    if not 0.0 < mean < math.inf:
+        raise ValueError(f"mean {mean} must be positive and finite")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     mu = float(mean)

@@ -313,8 +313,6 @@ class ExactGainPolicy:
         self.selections: list[int] = []
 
     def decide(self, net, partial, remaining):
-        if remaining <= 0:
-            return None
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
         elig = _eligible_nodes(net, partial)

@@ -1,47 +1,20 @@
-"""Seeding patterns and the four shipped strategies.
+"""The four shipped strategies.
 
 Policies are small state machines confined to a single run: `decide` receives
 the network, the observable partial realization, and the remaining budget,
-and returns a SeedCommand (empty = wait a round) or None to stop.
+and returns a SeedCommand (empty = wait a round) or None to stop.  The driver
+calls `decide` only while budget remains, so no policy checks for it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import EMPTY_COMMAND, SeedCommand
 from .model import DicNetwork
 from .realization import PartialRealization
-
-
-@dataclass(frozen=True)
-class SeedingPattern:
-    """Budget-per-step schedule, or the adaptive one-seed-per-quiescence rule."""
-
-    kind: str                       # "schedule" | "adaptive"
-    schedule: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("schedule", "adaptive"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "schedule":
-            if not self.schedule or self.schedule[0] < 1:
-                raise ValueError("explicit schedules must seed in the first step")
-            if any(a < 0 for a in self.schedule):
-                raise ValueError("negative schedule entry")
-
-
-ADAPTIVE_PATTERN = SeedingPattern("adaptive")
-
-
-def pattern_a0(budget: int, n: int) -> SeedingPattern:
-    """One seed per step until the budget is used up, then zeros."""
-    if not (1 <= budget <= n):
-        raise ValueError(f"budget {budget} outside [1, {n}]")
-    return SeedingPattern("schedule", (1,) * budget + (0,) * (n - budget))
 
 
 def observably_quiescent(net: DicNetwork, partial: PartialRealization) -> bool:
@@ -57,43 +30,18 @@ def _eligible_nodes(net: DicNetwork, partial: PartialRealization, candidates=Non
 
 
 class RandomPolicy:
-    """Seeds uniformly random eligible nodes following a pattern."""
+    """Seeds one uniformly random eligible node each round, without waiting
+    for quiescence, until no node is eligible."""
 
-    def __init__(self, pattern: SeedingPattern, rng):
-        self.pattern = pattern
+    def __init__(self, rng):
         self.rng = rng
-        self.step = 0
         self.gain_evaluations = 0
 
     def decide(self, net, partial, remaining):
-        if remaining <= 0:
-            return None
-        if self.pattern.kind == "adaptive":
-            if not observably_quiescent(net, partial):
-                return EMPTY_COMMAND
-            elig = _eligible_nodes(net, partial)
-            if not elig:
-                return None
-            return SeedCommand(frozenset({int(self.rng.choice(elig))}))
-        sched = self.pattern.schedule
-        i = self.step
-        if i >= len(sched) or not any(sched[i:]):
-            return None
-        a = sched[i]
-        if a == 0 and observably_quiescent(net, partial):
-            # compress the forbidden waiting rounds: jump to the next seeding step
-            while i < len(sched) and sched[i] == 0:
-                i += 1
-            self.step = i
-            a = sched[i]
-        self.step += 1
-        if a == 0:
-            return EMPTY_COMMAND
         elig = _eligible_nodes(net, partial)
         if not elig:
             return None
-        k = min(a, len(elig), remaining)
-        picks = self.rng.choice(elig, size=k, replace=False)
+        picks = self.rng.choice(elig, size=1, replace=False)
         return SeedCommand(frozenset(int(v) for v in picks))
 
 
@@ -207,6 +155,19 @@ def world_gain(net: DicNetwork, worlds, v: int, active) -> float:
     return net.activation[v] * total / len(worlds)
 
 
+def _lazy_forward(heap, stamp: int, score, eligible=None):
+    """CELF's lazy-forward step: pop the (-gain, node, stamp) heap until its
+    top entry was scored at `stamp`, re-scoring stale entries and dropping
+    nodes outside `eligible` when given; returns that entry's (node, gain)."""
+    while True:
+        neg_gain, v, scored_at = heapq.heappop(heap)
+        if eligible is not None and v not in eligible:
+            continue
+        if scored_at == stamp:
+            return v, -neg_gain
+        heapq.heappush(heap, (-score(v), v, stamp))
+
+
 class AGreedyPolicy:
     """Adaptive greedy: at each quiescence, seed the candidate with maximal
     estimated conditional gain, using a lazy-forward queue over cached gains.
@@ -239,8 +200,6 @@ class AGreedyPolicy:
         return world_gain(self.net, self._worlds, v, active)
 
     def decide(self, net, partial, remaining):
-        if remaining <= 0:
-            return None
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
         elig = _eligible_nodes(net, partial, self.candidates)
@@ -253,17 +212,11 @@ class AGreedyPolicy:
                 self._heap = [(-self._gain(v, active), v, 0) for v in elig]
                 heapq.heapify(self._heap)
         if self.celf:
-            elig_set = set(elig)
-            while True:
-                neg_gain, v, stamp = heapq.heappop(self._heap)
-                if v not in elig_set:
-                    continue
-                if stamp == self.step:
-                    chosen, chosen_gain = v, -neg_gain
-                    break
-                heapq.heappush(self._heap, (-self._gain(v, active), v, self.step))
+            chosen, gain = _lazy_forward(
+                self._heap, self.step, lambda v: self._gain(v, active),
+                set(elig))
             # keep the chosen node queued with its latest gain for later steps
-            heapq.heappush(self._heap, (-chosen_gain, chosen, stamp))
+            heapq.heappush(self._heap, (-gain, chosen, self.step))
         else:
             chosen, best = None, -1.0
             for v in elig:           # ascending ids: ties go to the smallest
@@ -332,12 +285,8 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     heapq.heapify(heap)
     picked: list[int] = []
     for round_no in range(1, min(budget, n) + 1):
-        while True:
-            neg_gain, v, stamp = heapq.heappop(heap)
-            if stamp == round_no:
-                picked.append(v)
-                break
-            heapq.heappush(heap, (-evaluate(v), v, round_no))
+        v, _ = _lazy_forward(heap, round_no, evaluate)
+        picked.append(v)
         for r, reached in new_reaches(v):
             covered[r] |= reached
     return picked, evaluations

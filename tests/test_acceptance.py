@@ -23,8 +23,7 @@ from dicnet.oracle import (build_auxiliary, check_properties,
                            greedy_adaptive_value, optimal_adaptive_value)
 from dicnet.realization import sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy, h_greedy_prune,
-                               pattern_a0, static_greedy_select,
-                               static_seed_factory)
+                               static_greedy_select, static_seed_factory)
 
 
 def _report(number, ok, detail):
@@ -244,8 +243,7 @@ def powerlaw_sweep():
         evals["h"] += ph.gain_evaluations
         for c in CHECKPOINTS:
             res["g"][c].append(spread_count(net, x, greedy_seeds[:c]))
-        pr = RandomPolicy(pattern_a0(30, net.node_count),
-                          substream(seed, i, 2))
+        pr = RandomPolicy(substream(seed, i, 2))
         for c, v in run_with_checkpoints(net, pr, x).items():
             res["r"][c].append(v)
     return {"res": res, "evals": evals, "prune_stats": prune_stats}

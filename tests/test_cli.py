@@ -110,6 +110,10 @@ def test_exit_code_config_errors(tmp_path):
                  "--out", out]) == 2               # budget > node count
     assert main(["run", "--gen", "5,x,1", "--out", out]) == 2
     assert main(["gen", "--out", str(tmp_path / "n.json")]) == 2
+    for preset in ("f2:nan,3", "f2:inf,3"):     # the mean is not finite
+        assert main(["oracle", "exact-value", "--fixture", "two-node",
+                     "--budgets", "1", "--policy", "static:0",
+                     "--preset", preset]) == 2
     assert not (tmp_path / "r.csv").exists()       # failed runs leave no file
 
 

@@ -23,7 +23,8 @@ def test_parse_preset_families():
     assert p.distribution.check() is None
     p = parse_preset("f3:0.1,0.01,0.001")
     assert p.distribution.values == (0.001, 0.01, 0.1)
-    for bad in ("f4:0.1", "f1:x", "f2:0.05", "f3:", "f1:1.5"):
+    for bad in ("f4:0.1", "f1:x", "f2:0.05", "f3:", "f1:1.5", "f2:nan,3",
+                "f2:inf,3"):
         with pytest.raises(SchemaError):
             parse_preset(bad)
 
@@ -178,6 +179,42 @@ def test_load_network_errors(tmp_path):
     ({"nodes": 2, "budget": 1, "activation": 0.5,
       "edges": [{"src": 0, "dst": 1,
                  "dist": {"type": "exp", "mean": 0.1, "bins": INF}}]},
+     "bad dist"),
+    # integer fields take JSON integers only, and no number field takes a
+    # bool: none of these is truncated or coerced into a network
+    ({"nodes": 2.9, "budget": 1, "activation": 0.5, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": "2", "budget": 1, "activation": 0.5, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": 1.7, "activation": 0.5, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": True, "activation": 0.5, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": 1, "activation": True, "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": 1, "activation": [0.5, False], "edges": []},
+     "bad nodes, budget or activation"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0.99, "dst": 1, "dist": {"type": "fixed", "p": 0.5}}]},
+     "bad endpoint"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": "1", "dist": {"type": "fixed", "p": 0.5}}]},
+     "bad endpoint"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1, "dist": {"type": "fixed", "p": True}}]},
+     "bad dist"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "exp", "mean": 0.1, "bins": 2.5}}]},
+     "bad dist"),
+    # an exponential law needs a finite positive mean
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "exp", "mean": float("nan"), "bins": 3}}]},
+     "bad dist"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "exp", "mean": INF, "bins": 3}}]},
      "bad dist"),
 ])
 def test_load_network_rejects_wrong_json_shapes(tmp_path, doc, message):

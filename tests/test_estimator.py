@@ -3,12 +3,14 @@
 import dataclasses
 import functools
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicnet.estimator
 from dicnet.estimator import (Estimate, _LazyRng, _StreamPool,
                               estimate_policy_spread, half_width,
                               hoeffding_samples, run_replications, substream)
@@ -133,6 +135,39 @@ def test_estimate_worker_equality():
     e1 = estimate_policy_spread(net, factory, 500, master_seed=3, workers=1)
     e2 = estimate_policy_spread(net, factory, 500, master_seed=3, workers=2)
     assert e1 == e2
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    # a stand-in pool records its size and runs each chunk inline, so this
+    # test starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(dicnet.estimator, "ProcessPoolExecutor", InlinePool)
+    net = two_node_fixture()
+    factory = functools.partial(static_seed_factory, [0])
+    # (replications, workers, chunks): the pool gets min(workers, chunks)
+    for reps, workers, chunks in ((2, 64, 2), (3, 2, 3), (30, 4, 15),
+                                  (30, 8, 30)):
+        est = estimate_policy_spread(net, factory, reps, master_seed=3,
+                                     workers=workers)
+        assert sizes[-1] == min(workers, chunks)
+        assert est == estimate_policy_spread(net, factory, reps,
+                                             master_seed=3)
 
 
 def test_hoeffding_coverage_holds_empirically():

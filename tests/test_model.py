@@ -103,8 +103,9 @@ def test_quantize_exponential_large_mean_clips():
     d = quantize_exponential(5.0, 4)     # most mass beyond 1
     assert d.values[-1] == 1.0
     assert d.check() is None
-    with pytest.raises(ValueError):
-        quantize_exponential(0.0, 2)
+    for mean in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            quantize_exponential(mean, 2)
     with pytest.raises(ValueError):
         quantize_exponential(0.1, 0)
 

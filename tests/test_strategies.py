@@ -1,5 +1,6 @@
-"""Seeding patterns, policies, the live-edge world engine, and static selection."""
+"""Policies, the live-edge world engine, and static selection."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -14,32 +15,16 @@ from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
                              star_network, two_node_fixture)
 from dicnet.model import DicNetwork, fixed_distribution
 from dicnet.oracle import exact_marginal_gain
-from dicnet.realization import empty_partial, sample_full
-from dicnet.strategies import (ADAPTIVE_PATTERN, AGreedyPolicy, RandomPolicy,
-                               SeedingPattern, StaticSeedListPolicy,
-                               _bernoulli_positions, _reach, h_greedy_prune,
-                               pattern_a0, sample_worlds,
+from dicnet.realization import FullRealization, empty_partial, sample_full
+from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
+                               StaticSeedListPolicy, _bernoulli_positions,
+                               _reach, h_greedy_prune, sample_worlds,
                                static_greedy_select, world_gain)
 
 
 def _edgeless(n, activation, budget):
     acts = (activation,) * n if isinstance(activation, float) else tuple(activation)
     return DicNetwork(n, acts, (), budget)
-
-
-def test_pattern_validation():
-    assert pattern_a0(3, 6).schedule == (1, 1, 1, 0, 0, 0)
-    assert ADAPTIVE_PATTERN.kind == "adaptive"
-    with pytest.raises(ValueError):
-        SeedingPattern("schedule", (0, 2))     # must seed in the first step
-    with pytest.raises(ValueError):
-        SeedingPattern("schedule", ())
-    with pytest.raises(ValueError):
-        SeedingPattern("bogus")
-    with pytest.raises(ValueError):
-        pattern_a0(0, 6)
-    with pytest.raises(ValueError):
-        pattern_a0(7, 6)
 
 
 def test_observably_quiescent():
@@ -59,37 +44,10 @@ def test_observably_quiescent():
     assert is_quiescent(net, y, y.active)
 
 
-def test_random_policy_schedule_compresses_waiting():
-    # on an edgeless network the zero steps of (1,0,0,1) are unobservable
-    # waiting; the policy must jump straight to the next seeding step
-    net = _edgeless(4, 1.0, 2)
-    x = sample_full(net, np.random.default_rng(0))
-    policy = RandomPolicy(SeedingPattern("schedule", (1, 0, 0, 1)),
-                          np.random.default_rng(1))
-    run = run_policy(net, policy, x)
-    assert run.rounds == 2              # no null rounds were issued
-    assert run.spread == 2
-    assert len(run.seeds) == 2
-
-
-def test_random_policy_adaptive_waits_for_quiescence():
-    net = chain_network(4, 1.0, activation=1.0, budget=2)
-    x = sample_full(net, np.random.default_rng(2))
-    policy = RandomPolicy(ADAPTIVE_PATTERN, np.random.default_rng(3))
-    run = run_policy(net, policy, x)
-    assert len(run.seeds) <= 2
-    # deterministic edges: every node downstream of a seed is active
-    assert run.spread >= 4 - max(run.seeds)
-    # seeded rounds never overlap an unresolved frontier: each seed lands
-    # either in round 1 or after the previous cascade settled
-    seed_rounds = [r for r, seeded, _, _ in run.trace if seeded]
-    assert seed_rounds[0] == 1
-
-
 def test_random_policy_respects_budget_and_eligibility():
     net = _edgeless(3, 0.0, 3)          # every attempt fails
     x = sample_full(net, np.random.default_rng(4))
-    policy = RandomPolicy(pattern_a0(3, 3), np.random.default_rng(5))
+    policy = RandomPolicy(np.random.default_rng(5))
     run = run_policy(net, policy, x)
     assert len(run.seeds) == 3
     assert run.spread == 0
@@ -300,8 +258,83 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
         return state
 
     for policy in (AGreedyPolicy(net, 200, rng),
-                   RandomPolicy(pattern_a0(net.budget, net.node_count), rng)):
+                   RandomPolicy(rng)):
         checked.clear()
         with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
             run = run_policy(net, policy, sample_full(net, rng))
         assert checked and checked[-1] == run.rounds
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_lazy_queues_match_exhaustive_argmax(seed):
+    # the lazy-forward queue re-scores every stale entry before trusting
+    # it, so both greedy selections equal an exhaustive argmax on the same
+    # worlds, ties to the smallest id
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    draw = int(rng.integers(2 ** 32))
+    x = sample_full(net, rng)
+    lazy = AGreedyPolicy(net, 60, np.random.default_rng(draw))
+    full = AGreedyPolicy(net, 60, np.random.default_rng(draw), celf=False)
+    assert run_policy(net, lazy, x).trace == run_policy(net, full, x).trace
+    assert lazy.selections == full.selections
+
+    # static greedy: rebuild its live edges and seeding successes from the
+    # same draws, then pick the node whose addition covers the most
+    replications = 40
+    picked, _ = static_greedy_select(net, net.budget, replications,
+                                     np.random.default_rng(draw))
+    gen = np.random.default_rng(draw)
+    live = gen.random((replications, len(net.edges))) < net.edge_arrays[2]
+    success = (gen.random((replications, net.node_count))
+               < np.array(net.activation))
+
+    def covered(seeds):
+        total = 0
+        for r in range(replications):
+            reached = {v for v in seeds if success[r, v]}
+            stack = list(reached)
+            while stack:
+                for e, w in net.out_edges[stack.pop()]:
+                    if live[r, e] and w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            total += len(reached)
+        return total
+
+    expected: list[int] = []
+    for _ in range(net.budget):
+        totals = [-1 if v in expected else covered(expected + [v])
+                  for v in range(net.node_count)]
+        expected.append(totals.index(max(totals)))
+    assert picked == expected
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_runs_keep_limits_and_ignore_unobserved_coordinates(seed):
+    # the driver alone keeps a policy within the budget and each node within
+    # its attempt limit; and a run reads only what it observed, so redrawing
+    # the seed bits past those it used and every edge out of a node it
+    # never activated leaves the whole run unchanged
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    x, y = sample_full(net, rng), sample_full(net, rng)
+    draw = int(rng.integers(2 ** 32))
+    order = [int(v) for v in rng.permutation(net.node_count)]
+    for make in (lambda: RandomPolicy(np.random.default_rng(draw)),
+                 lambda: AGreedyPolicy(net, 50, np.random.default_rng(draw)),
+                 lambda: StaticSeedListPolicy(order)):
+        run = run_policy(net, make(), x)
+        used = Counter(run.seeds)
+        assert len(run.seeds) <= net.budget
+        assert all(k <= net.budget for k in used.values())
+        active = {v for _, _, _, newly in run.trace for v in newly}
+        assert run.spread == len(active)
+        z = FullRealization(
+            tuple(x.seed_outcomes[v][:used[v]] + y.seed_outcomes[v][used[v]:]
+                  for v in range(net.node_count)),
+            tuple(x.edge_draws[e] if u in active else y.edge_draws[e]
+                  for e, (u, _, _) in enumerate(net.edges)))
+        assert run_policy(net, make(), z) == run
