@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .data import (PresetSpec, SchemaError, generate_power_law, load_network,
                    parse_preset, save_network)
-from .estimator import half_width, run_replications, substream
+from .estimator import SEED_LIMIT, half_width, run_replications, substream
 from .fixtures import fixture_g1, two_node_fixture
 from .oracle import (EnumerationGuard, check_properties, enumerate_schedules,
                      exact_policy_value, greedy_adaptive_value,
@@ -97,6 +97,9 @@ def _check_settings(args):
             bound = "" if low is None else f" >= {low}"
             raise ConfigError(f"{_flag(name)} must be {kind}{bound}, "
                               f"got {value!r}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be an integer in [0, 2**64), "
+                          f"got {args.seed!r}")
     if not 0 < args.delta < 1:
         raise ConfigError(f"--delta must be a number in (0, 1), got {args.delta!r}")
 

@@ -284,6 +284,9 @@ def load_network(path: str) -> DicNetwork:
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad nodes, budget or activation: {exc}") from None
     edges = []
+    # one parsed law per distinct dist value; the key is its repr, which
+    # tells `true` from 1 and 2.0 from the integer 2 where == would not
+    laws: dict[str, PropagationDistribution] = {}
     for i, e in enumerate(doc["edges"]):
         where = f"{path}: edges[{i}]"
         if not isinstance(e, dict):
@@ -296,7 +299,10 @@ def load_network(path: str) -> DicNetwork:
                     _json_number(e["dst"], (int,)))
         except TypeError as exc:
             raise SchemaError(f"{where}: bad endpoint: {exc}") from None
-        edges.append((*ends, _dist_from_json(e["dist"], where)))
+        key = repr(e["dist"])
+        if key not in laws:
+            laws[key] = _dist_from_json(e["dist"], where)
+        edges.append((*ends, laws[key]))
     net = DicNetwork(n, activation, tuple(edges), budget)
     problem = validate_network(net)
     if problem:

@@ -14,29 +14,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import run_policy
+from .diffusion import run_policy, spread_count
 from .model import DicNetwork
 from .realization import sample_full
+from .strategies import StaticSeedListPolicy
 
 # purpose tags keep the world stream and the policy's own stream independent
 PURPOSE_WORLD = 0
 PURPOSE_POLICY = 1
 
-_MASK = (1 << 64) - 1
-INDEX_LIMIT = 1 << 56       # the key packs (index << 8) | purpose into 64 bits
+SEED_LIMIT = 1 << 64        # a master seed is one 64-bit word of the key
+INDEX_LIMIT = 1 << 56       # the other packs (index << 8) | purpose into 64 bits
+
+
+def _check_master_seed(master_seed: int) -> None:
+    # a seed outside the word would silently alias one inside it
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ValueError(f"master seed {master_seed} outside [0, 2**64)")
 
 
 def substream(master_seed: int, index: int, purpose: int = 0):
     """Independent generator for one replication, derived from the key alone
     (counter-based, so no state is shared between indices).  Distinct
-    (index, purpose) pairs in [0, 2**56) x [0, 256) give distinct streams."""
+    (master_seed, index, purpose) triples in [0, 2**64) x [0, 2**56) x
+    [0, 256) give distinct streams."""
+    _check_master_seed(master_seed)
     if not 0 <= index < INDEX_LIMIT:
         raise ValueError(f"stream index {index} outside [0, 2**56)")
     if not 0 <= purpose < 256:
         raise ValueError(f"stream purpose {purpose} outside [0, 256)")
-    key = np.array([master_seed & _MASK,
-                    ((index << 8) | (purpose & 0xFF)) & _MASK],
-                   dtype=np.uint64)
+    key = np.array([master_seed, (index << 8) | purpose], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -80,7 +87,8 @@ class _StreamPool:
     paying bit-generator construction per replication."""
 
     def __init__(self, master_seed: int):
-        self.master_seed = master_seed & _MASK
+        _check_master_seed(master_seed)
+        self.master_seed = master_seed
         self._slots: dict[int, tuple] = {}
 
     def get(self, index: int, purpose: int):
@@ -97,7 +105,7 @@ class _StreamPool:
             slot = (bitgen, np.random.Generator(bitgen), template, key)
             self._slots[purpose] = slot
         bitgen, gen, template, key = slot
-        key[1] = ((index << 8) | (purpose & 0xFF)) & _MASK
+        key[1] = (index << 8) | purpose
         bitgen.state = template            # setter copies the array contents
         return gen
 
@@ -139,13 +147,22 @@ def _run_chunk(net: DicNetwork, policy_factory, master_seed: int,
 
 def _sum_chunk(net: DicNetwork, policy_factory, master_seed: int,
                start: int, stop: int) -> int:
-    """Spread total over a replication range, without per-row bookkeeping."""
+    """Spread total over a replication range, without per-row bookkeeping.
+
+    A static seed list needs no round-by-round driver: its run seeds the
+    list's first `budget` nodes at once, and the cascade ends with what the
+    seeds whose first attempt succeeds reach over successful edges, which
+    `spread_count` counts directly.
+    """
     pool = _StreamPool(master_seed)
     total = 0
     for i in range(start, stop):
         x = sample_full(net, pool.get(i, PURPOSE_WORLD))
         policy = policy_factory(_LazyRng(pool, i, PURPOSE_POLICY))
-        total += run_policy(net, policy, x, collect_trace=False).spread
+        if type(policy) is StaticSeedListPolicy:
+            total += spread_count(net, x, set(policy.seeds[:net.budget]))
+        else:
+            total += run_policy(net, policy, x, collect_trace=False).spread
     return total
 
 

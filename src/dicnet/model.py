@@ -169,6 +169,7 @@ def validate_network(net: DicNetwork) -> str | None:
     if not (1 <= net.budget <= n):
         return f"budget {net.budget} outside [1, {n}]"
     seen: set[tuple[int, int]] = set()
+    valid: set[int] = set()             # ids of the laws that passed check()
     for src, dst, dist in net.edges:
         if not (0 <= src < n and 0 <= dst < n):
             return f"edge ({src},{dst}) endpoint out of range"
@@ -177,7 +178,9 @@ def validate_network(net: DicNetwork) -> str | None:
         if (src, dst) in seen:
             return f"duplicate edge ({src},{dst})"
         seen.add((src, dst))
-        msg = dist.check()
-        if msg is not None:
-            return f"edge ({src},{dst}): {msg}"
+        if id(dist) not in valid:
+            msg = dist.check()
+            if msg is not None:
+                return f"edge ({src},{dst}): {msg}"
+            valid.add(id(dist))
     return None

@@ -139,6 +139,89 @@ def _reach(adj, v: int, excluded) -> set[int]:
     return seen
 
 
+_CLOSED = float("inf")      # low-link of a node whose component is finished
+
+
+def _reach_sizes(adj, excluded) -> dict[int, int]:
+    """`len(_reach(adj, v, excluded))` for every source v of the world outside
+    `excluded`, from one depth-first pass without recursion.
+
+    Tarjan's algorithm closes strongly connected components sinks first, so a
+    component's reach is known when it closes: the bits of its own nodes ORed
+    with the reaches of the components its edges enter (the condensation
+    reach counting of Ohsaka et al., AAAI 2014).  Bit i stands for the i-th
+    node the pass visits.
+    """
+    low: dict[int, int] = {}       # visit order, then lowest order reached
+    bits: dict[int, int] = {}      # reach found so far; final once closed
+    path: list[int] = []           # visited nodes of unfinished components
+    sizes: dict[int, int] = {}
+    for root in adj:
+        if root in low or root in excluded:
+            continue
+        i = len(low)
+        low[root] = i
+        bits[root] = 1 << i
+        path.append(root)
+        stack = [(root, i, iter(adj[root]))]
+        while stack:
+            v, order, succ = stack[-1]
+            for w in succ:
+                if w in excluded:
+                    continue
+                if w not in low:
+                    i = len(low)
+                    bits[w] = 1 << i
+                    if w not in adj:           # a sink is its own component
+                        low[w] = _CLOSED
+                        bits[v] |= bits[w]
+                        continue
+                    low[w] = i
+                    path.append(w)
+                    stack.append((w, i, iter(adj[w])))
+                    break
+                bits[v] |= bits[w]
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                stack.pop()
+                if low[v] == order:            # v roots a component: close it
+                    reach = bits[v]
+                    size = reach.bit_count()
+                    while True:
+                        w = path.pop()
+                        low[w] = _CLOSED
+                        bits[w] = reach
+                        sizes[w] = size        # only sources enter the path
+                        if w == v:
+                            break
+                if stack:
+                    u = stack[-1][0]
+                    bits[u] |= bits[v]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return sizes
+
+
+def reach_totals(net: DicNetwork, worlds, active, weight=None) -> list[int]:
+    """For every node v outside `active`, the sum over worlds r of
+    `weight[r, v] * len(_reach(worlds[r], v, active))` (weight 1 when None):
+    the integer that `world_gain`'s loop sums for each candidate, for all
+    candidates at once, in one condensation pass per world."""
+    if weight is None:
+        totals = [len(worlds)] * net.node_count
+        for adj in worlds:
+            for v, size in _reach_sizes(adj, active).items():
+                totals[v] += size - 1
+        return totals
+    totals = weight.sum(axis=0).tolist()     # every node reaches itself
+    for adj, row in zip(worlds, weight):
+        row = row.tolist()
+        for v, size in _reach_sizes(adj, active).items():
+            totals[v] += row[v] * (size - 1)
+    return totals
+
+
 def world_gain(net: DicNetwork, worlds, v: int, active) -> float:
     """Estimated conditional marginal gain of seeding v now: its activation
     probability times the mean number of inactive nodes it reaches per world
@@ -209,7 +292,13 @@ class AGreedyPolicy:
         if self._worlds is None:
             self._worlds = sample_worlds(self.net, self.replications, self.rng)
             if self.celf:
-                self._heap = [(-self._gain(v, active), v, 0) for v in elig]
+                # one kernel pass scores the whole first fill; re-evaluations
+                # of single candidates use world_gain
+                totals = reach_totals(self.net, self._worlds, active)
+                self.gain_evaluations += len(elig)
+                act, reps = self.net.activation, len(self._worlds)
+                self._heap = [(-(act[v] * totals[v] / reps), v, 0)
+                              for v in elig]
                 heapq.heapify(self._heap)
         if self.celf:
             chosen, gain = _lazy_forward(
@@ -236,8 +325,8 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     estimates, the population mean/std, and the pruned fraction.
     """
     worlds = sample_worlds(net, pre_replications, rng)
-    nothing = frozenset()
-    estimates = tuple(world_gain(net, worlds, v, nothing)
+    totals = reach_totals(net, worlds, frozenset())
+    estimates = tuple(net.activation[v] * totals[v] / len(worlds)
                       for v in range(net.node_count))
     mu = float(np.mean(estimates))
     sigma = float(np.std(estimates))
@@ -281,7 +370,9 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
         evaluations += 1
         return sum(len(reached) for _, reached in new_reaches(v)) / replications
 
-    heap = [(-evaluate(v), v, 0) for v in range(n)]
+    totals = reach_totals(net, worlds, (), weight=success)
+    evaluations += n
+    heap = [(-(totals[v] / replications), v, 0) for v in range(n)]
     heapq.heapify(heap)
     picked: list[int] = []
     for round_no in range(1, min(budget, n) + 1):

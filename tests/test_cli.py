@@ -262,12 +262,19 @@ def test_malformed_numeric_settings_exit_2(tmp_path, capsys):
     for delta in ("0", "5", "-0.5", "1", "nan"):
         assert main([*base, "--delta", delta]) == 2
         assert _one_line_error(capsys)
+    # a master seed is one 64-bit key word: 2**64 would alias 0, -1 2**64 - 1
+    for seed in ("-1", str(2 ** 64), str(2 ** 70)):
+        assert main([*base, "--seed", seed]) == 2, seed
+        assert _one_line_error(capsys), seed
+    assert main([*base, "--seed", str(2 ** 64 - 1),
+                 "--out", str(tmp_path / "top.csv")]) == 0
+    capsys.readouterr()
     cfg = tmp_path / "cfg.json"
     for bad in ({"reps": "3"}, {"delta": "x"}, {"workers": "2"},
                 {"workers": 0}, {"seed": 1.5}, {"R": True}, {"reps": 2.0},
                 {"delta": True}, {"budgets": 1}, {"preset": 5},
                 {"strategies": 5}, {"out": 5}, {"net": 5}, {"gen": 5},
-                {"fixture": [1]}):
+                {"fixture": [1]}, {"seed": -1}, {"seed": 2 ** 64}):
         cfg.write_text(json.dumps({"fixture": "two-node", "budgets": "1",
                                    "reps": 2, "strategies": "random",
                                    "out": out, **bad}))

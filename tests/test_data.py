@@ -216,6 +216,28 @@ def test_load_network_errors(tmp_path):
       "edges": [{"src": 0, "dst": 1,
                  "dist": {"type": "exp", "mean": INF, "bins": 3}}]},
      "bad dist"),
+    # equal laws are parsed once, but a bad law behind an equal-valued good
+    # one is still rejected and named by its own edge
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1, "dist": {"type": "fixed", "p": 1}},
+                {"src": 1, "dst": 0, "dist": {"type": "fixed", "p": True}}]},
+     "edges\\[1\\]: bad dist"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1, "dist": {"type": "fixed", "p": 0}},
+                {"src": 1, "dst": 0, "dist": {"type": "fixed", "p": False}}]},
+     "edges\\[1\\]: bad dist"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "exp", "mean": 0.1, "bins": 2}},
+                {"src": 1, "dst": 0,
+                 "dist": {"type": "exp", "mean": 0.1, "bins": 2.0}}]},
+     "edges\\[1\\]: bad dist"),
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "uniform", "values": [0.5, 1]}},
+                {"src": 1, "dst": 0,
+                 "dist": {"type": "uniform", "values": [0.5, True]}}]},
+     "edges\\[1\\]: bad dist"),
 ])
 def test_load_network_rejects_wrong_json_shapes(tmp_path, doc, message):
     path = str(tmp_path / "bad.json")

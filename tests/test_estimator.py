@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicnet.estimator
-from dicnet.estimator import (Estimate, _LazyRng, _StreamPool,
+from dicnet.estimator import (Estimate, _LazyRng, _StreamPool, _sum_chunk,
                               estimate_policy_spread, half_width,
                               hoeffding_samples, run_replications, substream)
 from dicnet.fixtures import random_tiny_network, two_node_fixture
@@ -69,6 +69,14 @@ def test_substream_rejects_keys_that_would_collide():
             substream(42, index, purpose)
     assert np.array_equal(substream(42, 2 ** 56 - 1, 255).random(3),
                           substream(42, 2 ** 56 - 1, 255).random(3))
+    # the master seed fills the other 64-bit word: 2**64 would alias 0
+    for seed in (-1, 2 ** 64, 2 ** 70):
+        with pytest.raises(ValueError):
+            substream(seed, 0, 0)
+        with pytest.raises(ValueError):
+            _StreamPool(seed)
+    assert not np.array_equal(substream(2 ** 64 - 1, 0, 0).random(3),
+                              substream(0, 0, 0).random(3))
     factory = functools.partial(static_seed_factory, [0])
     for count in (0, 2 ** 56 + 1):
         with pytest.raises(ValueError):
@@ -199,3 +207,19 @@ def test_estimate_within_half_width_of_exact_value(seed):
                                                         seeds),
                                  4000, master_seed=seed, delta=1e-6)
     assert abs(est.mean - exact) <= est.half_width
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_static_spread_sum_matches_driven_runs(seed):
+    # the spread sum counts a static seed list's reach without driving the
+    # rounds; replication by replication it equals the driven run's spread,
+    # for lists that repeat nodes, run past the budget or are empty
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    seeds = rng.integers(0, net.node_count, size=int(rng.integers(0, 6)))
+    factory = functools.partial(static_seed_factory, seeds.tolist())
+    rows = run_replications(net, factory, 30, master_seed=seed)
+    for r in rows:
+        assert _sum_chunk(net, factory, seed, r.replication,
+                          r.replication + 1) == r.spread

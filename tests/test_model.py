@@ -1,6 +1,7 @@
 """Distribution factories, quantization, and network validation."""
 
 import math
+from unittest import mock
 
 import pytest
 from scipy import integrate
@@ -135,3 +136,13 @@ def test_validate_network():
     bad_dist = PropagationDistribution((0.4,), (0.9,))
     bad = DicNetwork(2, (0.5, 0.5), ((0, 1, bad_dist),), 1)
     assert "mass sum" in validate_network(bad)
+    # each law object is checked once, and the first failing edge is named
+    ring = tuple((u, w, TWO_POINT) for u in range(3) for w in range(3) if u != w)
+    with mock.patch.object(PropagationDistribution, "check", autospec=True,
+                           side_effect=PropagationDistribution.check) as check:
+        assert validate_network(DicNetwork(3, (0.5,) * 3, ring, 1)) is None
+        assert check.call_count == 1
+        bad = DicNetwork(3, (0.5,) * 3, ((0, 1, TWO_POINT), (1, 2, bad_dist),
+                                         (2, 0, bad_dist)), 1)
+        assert validate_network(bad).startswith("edge (1,2): mass sum")
+        assert check.call_count == 3

@@ -17,8 +17,9 @@ from dicnet.model import DicNetwork, fixed_distribution
 from dicnet.oracle import exact_marginal_gain
 from dicnet.realization import FullRealization, empty_partial, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
-                               StaticSeedListPolicy, _bernoulli_positions,
-                               _reach, h_greedy_prune, sample_worlds,
+                               StaticSeedListPolicy, _add_live_edges,
+                               _bernoulli_positions, _reach, h_greedy_prune,
+                               reach_totals, sample_worlds,
                                static_greedy_select, world_gain)
 
 
@@ -222,6 +223,21 @@ def test_static_greedy_select_takes_the_hub_first():
     assert picked[0] == 0
 
 
+def _run_checking_states(net, policy, x, check):
+    """run_policy(net, policy, x), calling check(partial) on every state the
+    run reaches: before and after each round."""
+    original = dicnet.diffusion.step_round
+
+    def checked_step(state, cmd):
+        check(state.partial)
+        state = original(state, cmd)
+        check(state.partial)
+        return state
+
+    with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
+        return run_policy(net, policy, x)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
@@ -249,20 +265,72 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
             assert abs(est - exact_marginal_gain(net, partial.active, v)) <= hw
         checked.append(partial.round_index)
 
-    original = dicnet.diffusion.step_round
-
-    def checked_step(state, cmd):
-        check(state.partial)
-        state = original(state, cmd)
-        check(state.partial)
-        return state
-
     for policy in (AGreedyPolicy(net, 200, rng),
                    RandomPolicy(rng)):
         checked.clear()
-        with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
-            run = run_policy(net, policy, sample_full(net, rng))
+        run = _run_checking_states(net, policy, sample_full(net, rng), check)
         assert checked and checked[-1] == run.rounds
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
+    # the all-candidates kernel sums, for every node outside the active set,
+    # the reach world_gain's loop sums, at every state an a-greedy run and a
+    # random run reach; weighted by seeding successes it gives each node
+    # static greedy's first score
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    worlds = sample_worlds(net, 60, rng)
+
+    def check(partial):
+        active = partial.active
+        totals = reach_totals(net, worlds, active)
+        for v in range(net.node_count):
+            if v in active:
+                continue
+            assert totals[v] == sum(len(_reach(adj, v, active))
+                                    for adj in worlds)
+            assert (net.activation[v] * totals[v] / len(worlds)
+                    == world_gain(net, worlds, v, active))
+
+    for policy in (AGreedyPolicy(net, 60, rng), RandomPolicy(rng)):
+        _run_checking_states(net, policy, sample_full(net, rng), check)
+
+    replications = 40
+    live = rng.random((replications, len(net.edges))) < net.edge_arrays[2]
+    success = (rng.random((replications, net.node_count))
+               < np.array(net.activation))
+    static_worlds = [{} for _ in range(replications)]
+    _add_live_edges(static_worlds, net, *np.nonzero(live))
+    totals = reach_totals(net, static_worlds, (), weight=success)
+    for v in range(net.node_count):
+        evaluate = sum(len(_reach(static_worlds[r], v, set()))
+                       for r in np.flatnonzero(success[:, v]).tolist())
+        assert totals[v] == evaluate
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_reach_totals_on_dense_worlds_with_cycles(seed):
+    # random dense worlds have nested cycles, cross edges into finished
+    # components and excluded nodes inside cycles, which tiny nets rarely do
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    worlds = []
+    for _ in range(5):
+        adj = {}
+        for u in range(n):
+            for w in range(n):
+                if u != w and rng.random() < 0.3:
+                    adj.setdefault(u, []).append(w)
+        worlds.append(adj)
+    excluded = {v for v in range(n) if rng.random() < 0.2}
+    net = DicNetwork(n, (1.0,) * n, (), 1)
+    totals = reach_totals(net, worlds, excluded)
+    for v in set(range(n)) - excluded:
+        assert totals[v] == sum(len(_reach(adj, v, excluded))
+                                for adj in worlds)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
