@@ -380,6 +380,8 @@ def _load_config(path: str, names) -> dict:
             fields = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config file: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"config file {path!r} is nested too deeply") from None
     if type(fields) is not dict:
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     unknown = set(fields) - set(names)

@@ -267,6 +267,8 @@ def load_network(path: str) -> DicNetwork:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
     for field in ("nodes", "budget", "activation", "edges"):

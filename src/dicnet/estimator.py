@@ -7,6 +7,7 @@ count; the reduction sums partial results in replication-index order.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import run_policy, spread_count
+from .diffusion import run_policy
 from .model import DicNetwork
-from .realization import sample_full
-from .strategies import StaticSeedListPolicy
+from .realization import map_uniforms, sample_full
+from .strategies import static_seed_factory
 
 # purpose tags keep the world stream and the policy's own stream independent
 PURPOSE_WORLD = 0
@@ -25,6 +26,11 @@ PURPOSE_POLICY = 1
 
 SEED_LIMIT = 1 << 64        # a master seed is one 64-bit word of the key
 INDEX_LIMIT = 1 << 56       # the other packs (index << 8) | purpose into 64 bits
+
+# a block of static replications holds about BLOCK_BYTES of uniforms, in at
+# most BLOCK_ROWS rows; the block size changes no result
+BLOCK_BYTES = 1 << 20
+BLOCK_ROWS = 4096
 
 
 def _check_master_seed(master_seed: int) -> None:
@@ -145,24 +151,77 @@ def _run_chunk(net: DicNetwork, policy_factory, master_seed: int,
     return rows
 
 
+def _static_seeds(policy_factory):
+    """The seed list of `functools.partial(static_seed_factory, seeds)`, or
+    None for any other factory."""
+    if (isinstance(policy_factory, functools.partial)
+            and policy_factory.func is static_seed_factory
+            and len(policy_factory.args) == 1 and not policy_factory.keywords):
+        return tuple(policy_factory.args[0])
+    return None
+
+
+def _static_spread_total(net: DicNetwork, roots, master_seed: int,
+                         start: int, stop: int) -> int:
+    """Spread total of seeding `roots` at once, over a replication range.
+
+    Such a run ends with what the roots whose first attempt succeeds reach
+    over successful edges.  Each replication's uniforms come from its own
+    world stream, as `sample_full` draws them, into one row of a block; each
+    block is mapped once and every row's reach is counted by one frontier
+    loop over the block's live (row, edge) pairs.
+    """
+    n, b = net.node_count, net.budget
+    width = n * b + 2 * len(net.edges)
+    roots = np.array(sorted(roots), dtype=np.intp)
+    src, dst, _ = net.edge_arrays
+    pool = _StreamPool(master_seed)
+    block = np.empty((max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * width))),
+                      width))
+    total = 0
+    for lo in range(start, stop, len(block)):
+        u = block[:min(len(block), stop - lo)]
+        for row, i in zip(u, range(lo, stop)):
+            pool.get(i, PURPOSE_WORLD).random(out=row)
+        seeds, _, success = map_uniforms(net, u)
+        active = np.zeros((len(u), n), dtype=bool)
+        active[:, roots] = seeds[:, roots * b]
+        active = active.ravel()
+        row, edge = np.nonzero(success)
+        tail = row * n + src[edge]            # flat (row, node) of each end
+        head = row * n + dst[edge]
+        frontier = active                     # the successful roots
+        while True:
+            fire = frontier[tail] & ~active[head]
+            if not fire.any():
+                break
+            frontier = np.zeros_like(active)
+            frontier[head[fire]] = True
+            active |= frontier
+            keep = ~active[head]              # pairs that can still fire
+            tail, head = tail[keep], head[keep]
+        total += int(np.count_nonzero(active))
+    return total
+
+
 def _sum_chunk(net: DicNetwork, policy_factory, master_seed: int,
                start: int, stop: int) -> int:
     """Spread total over a replication range, without per-row bookkeeping.
 
     A static seed list needs no round-by-round driver: its run seeds the
-    list's first `budget` nodes at once, and the cascade ends with what the
-    seeds whose first attempt succeeds reach over successful edges, which
-    `spread_count` counts directly.
+    list's first `budget` nodes at once, so its spread is counted a block
+    of replications at a time.
     """
+    seeds = _static_seeds(policy_factory)
+    if seeds is not None:
+        return _static_spread_total(net, set(seeds[:net.budget]), master_seed,
+                                    start, stop)
     pool = _StreamPool(master_seed)
     total = 0
     for i in range(start, stop):
         x = sample_full(net, pool.get(i, PURPOSE_WORLD))
         policy = policy_factory(_LazyRng(pool, i, PURPOSE_POLICY))
-        if type(policy) is StaticSeedListPolicy:
-            total += spread_count(net, x, set(policy.seeds[:net.budget]))
-        else:
-            total += run_policy(net, policy, x, collect_trace=False).spread
+        total += run_policy(net, policy, x, collect_trace=False).spread
     return total
 
 

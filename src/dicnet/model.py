@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 ABS_TOL = 1e-9
+MAX_BINS = 10 ** 6      # most bins an exponential law is quantized into
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,14 @@ def quantize_exponential(mean: float, bins: int) -> PropagationDistribution:
     """Discretize an exponential law, clipped to [0,1], into equal-mass bins.
 
     The exponential with the given mean is split at its own quantiles into
-    `bins` bins of mass 1/bins; each atom sits at the conditional mean of
-    min(X, 1) over its bin.  Mass beyond 1 collapses into a top atom at 1.
+    `bins` bins of mass 1/bins, at most MAX_BINS; each atom sits at the
+    conditional mean of min(X, 1) over its bin.  Mass beyond 1 collapses
+    into a top atom at 1.
     """
     if not 0.0 < mean < math.inf:
         raise ValueError(f"mean {mean} must be positive and finite")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins {bins} outside [1, {MAX_BINS}]")
     mu = float(mean)
     tail_at_1 = math.exp(-1.0 / mu)  # P[X > 1]
     atoms: list[float] = []
@@ -143,17 +145,54 @@ class DicNetwork:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
+    def attempt_activation(self) -> np.ndarray:
+        """Per seeding attempt, node-major (node v's B attempts at columns
+        v*B .. v*B + B - 1), the activation probability of its node."""
+        return np.repeat(np.array(self.activation, dtype=np.float64),
+                         self.budget)
+
+    @cached_property
+    def edge_laws(self) -> tuple[tuple[PropagationDistribution, ...], np.ndarray]:
+        """The distinct law objects in order of first use, and per edge the
+        index of its law among them."""
+        index: dict[int, int] = {}
+        laws: list[PropagationDistribution] = []
+        for _, _, dist in self.edges:
+            if index.setdefault(id(dist), len(laws)) == len(laws):
+                laws.append(dist)
+        of_edge = np.fromiter((index[id(d)] for _, _, d in self.edges),
+                              dtype=np.intp, count=len(self.edges))
+        return tuple(laws), of_edge
+
+    @cached_property
+    def atom_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every law's atoms end to end, in law order, so that one
+        `searchsorted` serves all edges whatever their laws: per atom the
+        key `law index + 1j * cumulative mass`, which numpy orders by law
+        and then by mass, and the atom's value; per edge the position of
+        its law's last atom."""
+        laws, of_edge = self.edge_laws
+        keys = np.empty(sum(len(d.values) for d in laws), dtype=np.complex128)
+        keys.real = [i for i, d in enumerate(laws) for _ in d.values]
+        keys.imag = [c for d in laws for c in d.cum_masses]
+        values = np.array([v for d in laws for v in d.values], dtype=np.float64)
+        last = np.cumsum([len(d.values) for d in laws], dtype=np.intp) - 1
+        return keys, values, last[of_edge]
+
+    @cached_property
     def edge_means(self) -> tuple[float, ...]:
-        return tuple(mean_propagation(d) for _, _, d in self.edges)
+        return tuple(self.edge_arrays[2].tolist())
 
     @cached_property
     def edge_arrays(self):
-        """(src, dst, mean) numpy arrays over edges, for vectorized masking."""
+        """(src, dst, mean) numpy arrays over edges, for vectorized masking;
+        each law's mean is computed once."""
         m = len(self.edges)
         src = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=m)
         dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
-        means = np.fromiter(self.edge_means, dtype=np.float64, count=m)
-        return src, dst, means
+        laws, of_edge = self.edge_laws
+        means = np.array([mean_propagation(d) for d in laws], dtype=np.float64)
+        return src, dst, means[of_edge]
 
 
 def validate_network(net: DicNetwork) -> str | None:

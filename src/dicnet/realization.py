@@ -10,8 +10,9 @@ keeps the full realization private.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .model import DicNetwork
 
@@ -51,6 +52,28 @@ def empty_partial(net: DicNetwork) -> PartialRealization:
     return PartialRealization(set(), [[] for _ in range(net.node_count)])
 
 
+def map_uniforms(net: DicNetwork, u: np.ndarray):
+    """Map a K x (n*B + 2m) block of uniforms, one realization per row, to
+    its coordinates: seed bits (K x n*B, node-major), edge values (K x m)
+    and edge success bits (K x m).
+
+    Seed bit j of node v is `u[v*B + j] < activation[v]`; edge e's value is
+    the first atom of its law whose cumulative mass is >= `u[nB + e]`, or
+    the law's last atom (the comparisons `bisect_left` makes, done by one
+    `searchsorted` over `net.atom_table` keyed by (law, draw)); its attempt
+    succeeds when `u[nB + m + e] < value`.
+    """
+    base = net.node_count * net.budget
+    m = len(net.edges)
+    atom_keys, atom_values, edge_last = net.atom_table
+    keys = np.empty((u.shape[0], m), dtype=np.complex128)
+    keys.real = net.edge_laws[1]
+    keys.imag = u[:, base:base + m]
+    k = np.searchsorted(atom_keys, keys, side="left")
+    values = atom_values[np.minimum(k, edge_last, out=k)]
+    return u[:, :base] < net.attempt_activation, values, u[:, base + m:] < values
+
+
 def sample_full(net: DicNetwork, rng) -> FullRealization:
     """Draw a full realization from the prior.
 
@@ -59,21 +82,11 @@ def sample_full(net: DicNetwork, rng) -> FullRealization:
     """
     n, b = net.node_count, net.budget
     m = len(net.edges)
-    u = rng.random(n * b + 2 * m).tolist()   # one draw call: seeds, draws, attempts
-    act = net.activation
-    seeds = tuple(
-        tuple(int(u[v * b + j] < act[v]) for j in range(b))
-        for v in range(n)
-    )
-    if m == 0:
-        return FullRealization(seeds, ())
-    base = n * b
-    draws = []
-    for e, (_, _, dist) in enumerate(net.edges):
-        k = bisect_left(dist.cum_masses, u[base + e])
-        value = dist.values[min(k, len(dist.values) - 1)]
-        draws.append((value, int(u[base + m + e] < value)))
-    return FullRealization(seeds, tuple(draws))
+    u = rng.random(n * b + 2 * m)            # one draw call: seeds, draws, attempts
+    seeds, values, success = map_uniforms(net, u.reshape(1, -1))
+    bits = seeds.reshape(n, b).view(np.int8).tolist()
+    draws = zip(values[0].tolist(), success[0].view(np.int8).tolist())
+    return FullRealization(tuple(map(tuple, bits)), tuple(draws))
 
 
 def probability_of(net: DicNetwork, x: FullRealization) -> float:

@@ -102,7 +102,7 @@ def test_config_file_defaults(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 
 
-def test_exit_code_config_errors(tmp_path):
+def test_exit_code_config_errors(tmp_path, capsys):
     out = str(tmp_path / "r.csv")
     assert main(["run", "--strategies", "bogus", "--out", out]) == 2
     assert main(["run", "--budgets", "nope", "--out", out]) == 2
@@ -110,7 +110,14 @@ def test_exit_code_config_errors(tmp_path):
                  "--out", out]) == 2               # budget > node count
     assert main(["run", "--gen", "5,x,1", "--out", out]) == 2
     assert main(["gen", "--out", str(tmp_path / "n.json")]) == 2
-    for preset in ("f2:nan,3", "f2:inf,3"):     # the mean is not finite
+    deep = tmp_path / "deep.json"                  # past the recursion limit
+    deep.write_text("[" * 200000 + "]" * 200000)
+    capsys.readouterr()
+    assert main(["run", "--net", str(deep), "--budgets", "1", "--reps", "1",
+                 "--out", out]) == 2
+    assert _one_line_error(capsys)
+    # the mean is not finite, or there are more than MAX_BINS bins
+    for preset in ("f2:nan,3", "f2:inf,3", "f2:0.1,100000000000"):
         assert main(["oracle", "exact-value", "--fixture", "two-node",
                      "--budgets", "1", "--policy", "static:0",
                      "--preset", preset]) == 2
@@ -280,7 +287,8 @@ def test_malformed_numeric_settings_exit_2(tmp_path, capsys):
                                    "out": out, **bad}))
         assert main(["run", "--config", str(cfg)]) == 2, bad
         assert _one_line_error(capsys), bad
-    for bad in ("5", "null", "[{}]", '"ab"'):     # not a JSON object
+    # not a JSON object, or nested past the recursion limit
+    for bad in ("5", "null", "[{}]", '"ab"', "[" * 200000 + "]" * 200000):
         cfg.write_text(bad)
         assert main([*base, "--config", str(cfg)]) == 2, bad
         assert _one_line_error(capsys), bad

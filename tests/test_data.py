@@ -24,7 +24,7 @@ def test_parse_preset_families():
     p = parse_preset("f3:0.1,0.01,0.001")
     assert p.distribution.values == (0.001, 0.01, 0.1)
     for bad in ("f4:0.1", "f1:x", "f2:0.05", "f3:", "f1:1.5", "f2:nan,3",
-                "f2:inf,3"):
+                "f2:inf,3", "f2:0.1,100000000000"):
         with pytest.raises(SchemaError):
             parse_preset(bad)
 
@@ -132,6 +132,10 @@ def test_load_network_errors(tmp_path):
         fh.write("{not json")
     with pytest.raises(SchemaError, match="invalid JSON"):
         load_network(path)
+    with open(path, "w") as fh:                          # past the recursion limit
+        fh.write("[" * 200000 + "]" * 200000)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_network(path)
     doc = {"nodes": 2, "budget": 1,
            "edges": [{"src": 0, "dst": 1, "dist": {"type": "fixed", "p": 0.5}}]}
     with open(path, "w") as fh:
@@ -238,6 +242,12 @@ def test_load_network_errors(tmp_path):
                 {"src": 1, "dst": 0,
                  "dist": {"type": "uniform", "values": [0.5, True]}}]},
      "edges\\[1\\]: bad dist"),
+    # an exponential law has at most MAX_BINS bins, checked before any bin
+    # is built
+    ({"nodes": 2, "budget": 1, "activation": 0.5,
+      "edges": [{"src": 0, "dst": 1,
+                 "dist": {"type": "exp", "mean": 0.1, "bins": 10 ** 11}}]},
+     "bad dist"),
 ])
 def test_load_network_rejects_wrong_json_shapes(tmp_path, doc, message):
     path = str(tmp_path / "bad.json")

@@ -14,10 +14,12 @@ import dicnet.estimator
 from dicnet.estimator import (Estimate, _LazyRng, _StreamPool, _sum_chunk,
                               estimate_policy_spread, half_width,
                               hoeffding_samples, run_replications, substream)
-from dicnet.fixtures import random_tiny_network, two_node_fixture
+from dicnet.data import generate_power_law, parse_preset
+from dicnet.fixtures import fixture_g1, random_tiny_network, two_node_fixture
 from dicnet.model import DicNetwork
 from dicnet.oracle import exact_policy_value
-from dicnet.strategies import StaticSeedListPolicy, static_seed_factory
+from dicnet.strategies import (RandomPolicy, StaticSeedListPolicy,
+                               static_seed_factory)
 
 
 def _one_node(p=0.5):
@@ -138,11 +140,16 @@ def test_estimate_one_node_coin():
 
 
 def test_estimate_worker_equality():
-    net = two_node_fixture()
-    factory = functools.partial(static_seed_factory, [0])
-    e1 = estimate_policy_spread(net, factory, 500, master_seed=3, workers=1)
-    e2 = estimate_policy_spread(net, factory, 500, master_seed=3, workers=2)
-    assert e1 == e2
+    # the block-batched static path and the driven path alike
+    g1 = fixture_g1()
+    for net, factory in (
+            (two_node_fixture(), functools.partial(static_seed_factory, [0])),
+            (g1, functools.partial(static_seed_factory, [0, 2, 4])),
+            (g1, functools.partial(static_seed_factory, ())),
+            (g1, RandomPolicy)):
+        e1 = estimate_policy_spread(net, factory, 500, master_seed=3, workers=1)
+        e2 = estimate_policy_spread(net, factory, 500, master_seed=3, workers=2)
+        assert e1 == e2
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
@@ -212,14 +219,35 @@ def test_estimate_within_half_width_of_exact_value(seed):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_static_spread_sum_matches_driven_runs(seed):
-    # the spread sum counts a static seed list's reach without driving the
-    # rounds; replication by replication it equals the driven run's spread,
-    # for lists that repeat nodes, run past the budget or are empty
+    # the spread sum counts a static seed list's reach a block at a time,
+    # without driving the rounds; over any replication range it equals the
+    # driven runs' spreads, replication by replication and summed, for lists
+    # that repeat nodes, run past the budget or are empty.  Blocks of 7 rows
+    # make ranges start mid-block and cross several blocks.
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
     seeds = rng.integers(0, net.node_count, size=int(rng.integers(0, 6)))
     factory = functools.partial(static_seed_factory, seeds.tolist())
-    rows = run_replications(net, factory, 30, master_seed=seed)
-    for r in rows:
-        assert _sum_chunk(net, factory, seed, r.replication,
-                          r.replication + 1) == r.spread
+    spreads = [r.spread for r in run_replications(net, factory, 40,
+                                                  master_seed=seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dicnet.estimator, "BLOCK_ROWS", 7)
+        for i, spread in enumerate(spreads):
+            assert _sum_chunk(net, factory, seed, i, i + 1) == spread
+        for _ in range(4):
+            a, b = sorted(int(i) for i in rng.integers(0, 41, size=2))
+            if a < b:
+                assert _sum_chunk(net, factory, seed, a, b) == sum(spreads[a:b])
+        assert _sum_chunk(net, factory, seed, 0, 40) == sum(spreads)
+
+
+def test_static_spread_sum_on_a_generated_net(monkeypatch):
+    # a net with cycles and chains several hops long, in blocks of 7 rows
+    monkeypatch.setattr(dicnet.estimator, "BLOCK_ROWS", 7)
+    net = generate_power_law(60, 400, 5, parse_preset("f3:0.2,0.5,0.9"), 4,
+                             skew=1.0)
+    factory = functools.partial(static_seed_factory, [3, 0, 3, 17, 42])
+    spreads = [r.spread for r in run_replications(net, factory, 30,
+                                                  master_seed=11)]
+    assert max(spreads) > 5
+    assert _sum_chunk(net, factory, 11, 4, 30) == sum(spreads[4:])

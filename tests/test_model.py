@@ -6,7 +6,8 @@ from unittest import mock
 import pytest
 from scipy import integrate
 
-from dicnet.model import (DicNetwork, PropagationDistribution,
+import dicnet.model
+from dicnet.model import (MAX_BINS, DicNetwork, PropagationDistribution,
                           fixed_distribution, mean_propagation,
                           quantize_exponential,
                           uniform_discrete_distribution, validate_network)
@@ -107,8 +108,10 @@ def test_quantize_exponential_large_mean_clips():
     for mean in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             quantize_exponential(mean, 2)
-    with pytest.raises(ValueError):
-        quantize_exponential(0.1, 0)
+    # bins outside [1, MAX_BINS] are rejected before any bin is built
+    for bins in (0, MAX_BINS + 1, 10 ** 11):
+        with pytest.raises(ValueError):
+            quantize_exponential(0.1, bins)
 
 
 def test_network_cached_views():
@@ -120,6 +123,32 @@ def test_network_cached_views():
     src, dst, means = net.edge_arrays
     assert list(src) == [0, 1, 2, 3, 4]
     assert list(dst) == [1, 2, 3, 4, 5]
+
+
+def test_edge_laws_atom_table_and_means_once_per_law(monkeypatch):
+    # the distinct law objects in order of first use, each edge's law index,
+    # the atoms end to end keyed by (law, cumulative mass); each law's mean
+    # is computed once and equals the per-edge mean bit for bit
+    other = fixed_distribution(0.3)
+    net = DicNetwork(4, (0.5,) * 4, ((0, 1, TWO_POINT), (1, 2, other),
+                                     (2, 3, TWO_POINT), (3, 0, TWO_POINT)), 2)
+    laws, of_edge = net.edge_laws
+    assert laws == (TWO_POINT, other) and of_edge.tolist() == [0, 1, 0, 0]
+    keys, values, last = net.atom_table
+    assert keys.real.tolist() == [0.0] * len(TWO_POINT.values) + [1.0]
+    assert keys.imag.tolist() == list(TWO_POINT.cum_masses + other.cum_masses)
+    assert values.tolist() == list(TWO_POINT.values + other.values)
+    two = len(TWO_POINT.values)
+    assert last.tolist() == [two - 1, two, two - 1, two - 1]
+    calls = []
+    real = dicnet.model.mean_propagation
+    monkeypatch.setattr(dicnet.model, "mean_propagation",
+                        lambda d: calls.append(d) or real(d))
+    assert net.edge_means == tuple(real(d) for _, _, d in net.edges)
+    assert calls == [TWO_POINT, other]
+    assert net.edge_arrays[2].tolist() == list(net.edge_means)
+    empty = DicNetwork(2, (0.5, 0.5), (), 1)
+    assert empty.edge_laws[0] == () and empty.atom_table[0].size == 0
 
 
 def test_validate_network():

@@ -1,14 +1,37 @@
 """Prior sampling, partial realizations and likelihoods."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dicnet.fixtures import TWO_POINT, fixture_g1, two_node_fixture
-from dicnet.model import DicNetwork
+from dicnet.data import generate_power_law, parse_preset
+from dicnet.fixtures import (TWO_POINT, fixture_g1, random_tiny_network,
+                             two_node_fixture)
+from dicnet.model import (DicNetwork, fixed_distribution,
+                          quantize_exponential)
 from dicnet.realization import (FullRealization, empty_partial, probability_of,
                                 sample_full)
+
+
+def _sample_full_reference(net, rng):
+    # the coordinate-by-coordinate mapping of one draw: a seed bit per
+    # (node, attempt), then per edge a bisect over its law's cumulative
+    # masses and the attempt's success bit
+    n, b = net.node_count, net.budget
+    m = len(net.edges)
+    u = rng.random(n * b + 2 * m).tolist()
+    seeds = tuple(tuple(int(u[v * b + j] < net.activation[v]) for j in range(b))
+                  for v in range(n))
+    draws = []
+    for e, (_, _, dist) in enumerate(net.edges):
+        k = bisect_left(dist.cum_masses, u[n * b + e])
+        value = dist.values[min(k, len(dist.values) - 1)]
+        draws.append((value, int(u[n * b + m + e] < value)))
+    return FullRealization(seeds, tuple(draws))
 
 
 def test_empty_partial_shape():
@@ -42,6 +65,34 @@ def test_sample_full_shapes_and_determinism():
     for value, success in x1.edge_draws:
         assert value in (0.4, 0.8)
         assert success in (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(
+    ["tiny", "shared", "f1:0.3", "f2:0.2,4", "f2:3.0,6", "f3:0.1,0.5,0.9"]))
+def test_sample_full_equals_the_reference_mapping(seed, kind):
+    # the (law, draw)-keyed searchsorted mapping gives the same Python ints
+    # and floats as the coordinate-by-coordinate bisect: on tiny nets (a law
+    # object per edge), on small generated nets of each preset family (one
+    # law) and on generated nets whose edges share laws in mixed order
+    rng = np.random.default_rng(seed)
+    if kind == "tiny":
+        net = random_tiny_network(rng, max_nodes=5, budget=3)
+    else:
+        n = int(rng.integers(2, 16))
+        pairs = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
+        preset = "f1:0.3" if kind == "shared" else kind
+        net = generate_power_law(n, 2 * pairs, seed, parse_preset(preset),
+                                 int(rng.integers(1, n + 1)), skew=1.0)
+    if kind == "shared":
+        pool = (TWO_POINT, fixed_distribution(0.4), quantize_exponential(0.3, 5))
+        net = DicNetwork(net.node_count, net.activation,
+                         tuple((a, b, pool[int(rng.integers(3))])
+                               for a, b, _ in net.edges), net.budget)
+    for draw in range(3):
+        got = sample_full(net, np.random.default_rng([seed, draw]))
+        want = _sample_full_reference(net, np.random.default_rng([seed, draw]))
+        assert got == want and repr(got) == repr(want)
 
 
 def test_sample_full_marginal_laws():
