@@ -35,6 +35,8 @@ class DiffusionState:
     frontier: set[int]
     budget_used: int
     _x: FullRealization = field(repr=False, default=None)
+    # one row per round: (round, seeded, outcome bits, newly active)
+    trace: list = field(default_factory=list)
 
 
 def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
@@ -56,7 +58,8 @@ def start(net: DicNetwork, x: FullRealization) -> DiffusionState:
 
 
 def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
-    """Execute one simultaneous round of seeding plus frontier propagation."""
+    """Execute one simultaneous round of seeding plus frontier propagation,
+    and append its row to `state.trace`."""
     net, partial, x = state.net, state.partial, state._x
     if not cmd.nodes and partial.quiescent:
         raise InvalidCommand("null round: empty command on a quiescent state")
@@ -69,11 +72,14 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
         raise InvalidCommand("budget exceeded")
 
     active_at_start = partial.active
+    seeded = tuple(sorted(cmd.nodes))
+    outcomes = []
     newly: set[int] = set()
-    for v in sorted(cmd.nodes):
+    for v in seeded:
         j = len(partial.attempts[v])
         bit = x.seed_outcomes[v][j]
         partial.attempts[v].append(bit)
+        outcomes.append(bit)
         if bit:
             newly.add(v)
     for u in sorted(state.frontier):
@@ -86,10 +92,13 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
                 newly.add(w)
     newly -= active_at_start
     partial.active |= newly
-    for v in sorted(newly):
+    newly_sorted = tuple(sorted(newly))
+    for v in newly_sorted:
         for eidx, _ in net.out_edges[v]:
             partial.revealed_draws[eidx] = x.edge_draws[eidx][0]
     partial.round_index += 1
+    state.trace.append((partial.round_index, seeded, tuple(outcomes),
+                        newly_sorted))
     state.frontier = newly
     state.budget_used += len(cmd.nodes)
     partial.quiescent = is_quiescent(net, partial, newly)
@@ -131,40 +140,26 @@ def spread_count(net: DicNetwork, x: FullRealization, seed_plan) -> int:
 @dataclass
 class PolicyRun:
     spread: int
-    trace: list           # rows of (round, seeded, outcomes, newly_active)
+    trace: list           # the state's rows (round, seeded, outcomes, newly)
     seeds: tuple[int, ...]  # executed seed multiset, in order
     rounds: int
     gain_evaluations: int = 0
 
 
-def run_policy(net: DicNetwork, policy, x: FullRealization,
-               collect_trace: bool = True) -> PolicyRun:
+def run_policy(net: DicNetwork, policy, x: FullRealization) -> PolicyRun:
     """Drive the cascade with a policy until budget exhaustion and quiescence.
 
     The policy sees only the partial realization.  It returns a SeedCommand
     (possibly empty while the cascade is still running) or None to stop.
     """
     state = start(net, x)
-    trace = []
-    executed: list[int] = []
-    while True:
-        if state.budget_used >= net.budget:
-            break
+    while state.budget_used < net.budget:
         cmd = policy.decide(net, state.partial, net.budget - state.budget_used)
         if cmd is None:
             break
-        seeded = tuple(sorted(cmd.nodes))
         step_round(state, cmd)
-        executed.extend(seeded)
-        if collect_trace:
-            outcomes = tuple(state.partial.attempts[v][-1] for v in seeded)
-            trace.append((state.partial.round_index, seeded, outcomes,
-                          tuple(sorted(state.frontier))))
-    while not state.partial.quiescent:
-        step_round(state, EMPTY_COMMAND)
-        if collect_trace:
-            trace.append((state.partial.round_index, (), (),
-                          tuple(sorted(state.frontier))))
+    run_to_quiescence(state)
+    seeds = tuple(v for _, seeded, _, _ in state.trace for v in seeded)
     evals = getattr(policy, "gain_evaluations", 0)
-    return PolicyRun(len(state.partial.active), trace, tuple(executed),
+    return PolicyRun(len(state.partial.active), state.trace, seeds,
                      state.partial.round_index, evals)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -116,33 +117,15 @@ class _StreamPool:
         return gen
 
 
-class _LazyRng:
-    """Generator stand-in that only keys its stream on first use, so policies
-    that never draw randomness cost nothing."""
-
-    __slots__ = ("_pool", "_index", "_purpose", "_gen")
-
-    def __init__(self, pool, index, purpose):
-        self._pool = pool
-        self._index = index
-        self._purpose = purpose
-        self._gen = None
-
-    def __getattr__(self, name):            # only called for missing attrs
-        if self._gen is None:
-            self._gen = self._pool.get(self._index, self._purpose)
-        return getattr(self._gen, name)
-
-
 def _run_chunk(net: DicNetwork, policy_factory, master_seed: int,
                start: int, stop: int) -> list[ReplicationResult]:
     pool = _StreamPool(master_seed)
     rows = []
     for i in range(start, stop):
         x = sample_full(net, pool.get(i, PURPOSE_WORLD))
-        policy = policy_factory(_LazyRng(pool, i, PURPOSE_POLICY))
+        policy = policy_factory(pool.get(i, PURPOSE_POLICY))
         t0 = time.perf_counter()
-        run = run_policy(net, policy, x, collect_trace=False)
+        run = run_policy(net, policy, x)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         per_seed = elapsed_ms / max(1, len(run.seeds))
         rows.append(ReplicationResult(i, run.spread, run.rounds,
@@ -161,19 +144,20 @@ def _static_seeds(policy_factory):
     return None
 
 
-def _static_spread_total(net: DicNetwork, roots, master_seed: int,
+def _static_spread_total(net: DicNetwork, seeds, master_seed: int,
                          start: int, stop: int) -> int:
-    """Spread total of seeding `roots` at once, over a replication range.
+    """Spread total of a static seed list over a replication range.
 
-    Such a run ends with what the roots whose first attempt succeeds reach
-    over successful edges.  Each replication's uniforms come from its own
-    world stream, as `sample_full` draws them, into one row of a block; each
-    block is mapped once and every row's reach is counted by one frontier
-    loop over the block's live (row, edge) pairs.
+    Its run seeds the list's first `budget` nodes at once and ends with what
+    those whose first attempt succeeds reach over successful edges, so it
+    needs no round-by-round driver.  Each replication's uniforms come from
+    its own world stream, as `sample_full` draws them, into one row of a
+    block; each block is mapped once and every row's reach is counted by one
+    frontier loop over the block's live (row, edge) pairs.
     """
     n, b = net.node_count, net.budget
     width = n * b + 2 * len(net.edges)
-    roots = np.array(sorted(roots), dtype=np.intp)
+    roots = np.array(sorted(set(seeds[:b])), dtype=np.intp)
     src, dst, _ = net.edge_arrays
     pool = _StreamPool(master_seed)
     block = np.empty((max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * width))),
@@ -183,9 +167,9 @@ def _static_spread_total(net: DicNetwork, roots, master_seed: int,
         u = block[:min(len(block), stop - lo)]
         for row, i in zip(u, range(lo, stop)):
             pool.get(i, PURPOSE_WORLD).random(out=row)
-        seeds, _, success = map_uniforms(net, u)
+        bits, _, success = map_uniforms(net, u)
         active = np.zeros((len(u), n), dtype=bool)
-        active[:, roots] = seeds[:, roots * b]
+        active[:, roots] = bits[:, roots * b]
         active = active.ravel()
         row, edge = np.nonzero(success)
         tail = row * n + src[edge]            # flat (row, node) of each end
@@ -204,42 +188,30 @@ def _static_spread_total(net: DicNetwork, roots, master_seed: int,
     return total
 
 
-def _sum_chunk(net: DicNetwork, policy_factory, master_seed: int,
-               start: int, stop: int) -> int:
-    """Spread total over a replication range, without per-row bookkeeping.
-
-    A static seed list needs no round-by-round driver: its run seeds the
-    list's first `budget` nodes at once, so its spread is counted a block
-    of replications at a time.
-    """
-    seeds = _static_seeds(policy_factory)
-    if seeds is not None:
-        return _static_spread_total(net, set(seeds[:net.budget]), master_seed,
-                                    start, stop)
-    pool = _StreamPool(master_seed)
-    total = 0
-    for i in range(start, stop):
-        x = sample_full(net, pool.get(i, PURPOSE_WORLD))
-        policy = policy_factory(_LazyRng(pool, i, PURPOSE_POLICY))
-        total += run_policy(net, policy, x, collect_trace=False).spread
-    return total
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _map_chunks(chunk_fn, net: DicNetwork, policy_factory, master_seed: int,
+def _map_chunks(chunk_fn, net: DicNetwork, arg, master_seed: int,
                 replications: int, workers: int) -> list:
-    """`chunk_fn(net, policy_factory, master_seed, start, stop)` over chunks
-    of [0, replications), serially or on `workers` processes; the per-chunk
-    results come back in replication order."""
+    """`chunk_fn(net, arg, master_seed, start, stop)` over chunks of
+    [0, replications), serially or on `workers` processes; the per-chunk
+    results come back in replication order.  The chunks depend on `workers`
+    alone; the pool has no more processes than chunks or usable CPUs."""
     # replication indices must stay below INDEX_LIMIT so that every
     # replication gets its own streams
     if not 1 <= replications <= INDEX_LIMIT:
         raise ValueError(f"replications must be in [1, 2**56], got {replications}")
     if workers <= 1:
-        return [chunk_fn(net, policy_factory, master_seed, 0, replications)]
+        return [chunk_fn(net, arg, master_seed, 0, replications)]
     chunk = max(1, -(-replications // (workers * 4)))
     starts = range(0, replications, chunk)
-    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        futures = [pool.submit(chunk_fn, net, policy_factory, master_seed,
+    size = min(workers, len(starts), _usable_cpus())
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        futures = [pool.submit(chunk_fn, net, arg, master_seed,
                                s, min(s + chunk, replications))
                    for s in starts]
         return [f.result() for f in futures]   # submission order
@@ -262,8 +234,13 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
                            workers: int = 1) -> Estimate:
     """Mean spread of the policy over `replications` independent realizations,
     with a Hoeffding half-width at confidence 1 - delta."""
-    total = sum(_map_chunks(_sum_chunk, net, policy_factory, master_seed,
-                            replications, workers))
+    seeds = _static_seeds(policy_factory)
+    if seeds is not None:
+        total = sum(_map_chunks(_static_spread_total, net, seeds, master_seed,
+                                replications, workers))
+    else:
+        total = sum(r.spread for r in run_replications(
+            net, policy_factory, replications, master_seed, workers))
     return Estimate(total / replications, replications,
                     half_width(net.node_count, replications, delta),
                     master_seed)

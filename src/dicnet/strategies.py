@@ -78,6 +78,7 @@ def static_seed_factory(seeds, rng):
 # ---------------------------------------------------------------------------
 
 _LIVE_EDGE_SLICE = 4096     # live edges turned into Python ints at a time
+_DRAW_BYTES = 1 << 20       # uniforms static greedy draws at a time
 
 
 def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
@@ -343,6 +344,15 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     return candidates, stats
 
 
+def _draw_below(rng, rows: int, p):
+    """`rng.random((rows, len(p))) < p` as (first row, block) pairs of about
+    `_DRAW_BYTES` of uniforms each.  Successive draws continue one stream,
+    so the blocks hold exactly the rows of a single draw."""
+    step = max(1, _DRAW_BYTES // (8 * max(1, len(p))))
+    for lo in range(0, rows, step):
+        yield lo, rng.random((min(step, rows - lo), len(p))) < p
+
+
 def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     """Hill-climbing selection on the mean-field network.
 
@@ -351,10 +361,13 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     seeded all at once.  Returns (ordered seed list, gain evaluation count).
     """
     n = net.node_count
-    live = rng.random((replications, len(net.edges))) < net.edge_arrays[2]
-    success = rng.random((replications, n)) < np.array(net.activation)
     worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
-    _add_live_edges(worlds, net, *np.nonzero(live))
+    for lo, live in _draw_below(rng, replications, net.edge_arrays[2]):
+        rows, edges = np.nonzero(live)
+        _add_live_edges(worlds, net, rows + lo, edges)
+    success = np.empty((replications, n), dtype=bool)
+    for lo, block in _draw_below(rng, replications, np.array(net.activation)):
+        success[lo:lo + len(block)] = block
     covered: list[set[int]] = [set() for _ in range(replications)]
     evaluations = 0
 

@@ -165,8 +165,8 @@ def test_criterion_5_celf_equivalence():
         lazy = AGreedyPolicy(net, 200, substream(50 + t, 0, 1), celf=True)
         full = AGreedyPolicy(net, 200, substream(50 + t, 0, 1), celf=False)
         from dicnet.diffusion import run_policy
-        run_policy(net, lazy, x, collect_trace=False)
-        run_policy(net, full, x, collect_trace=False)
+        run_policy(net, lazy, x)
+        run_policy(net, full, x)
         if lazy.selections == full.selections:
             equal += 1
         if lazy.gain_evaluations < full.gain_evaluations:
@@ -288,11 +288,11 @@ def test_criterion_7_pruning_economics():
     for i in range(reps):
         x = sample_full(net, substream(seed, i, 0))
         pa = AGreedyPolicy(net, r_gain, substream(seed, i, 1))
-        spreads["a"].append(run_policy(net, pa, x, collect_trace=False).spread)
+        spreads["a"].append(run_policy(net, pa, x).spread)
         evals["a"] += pa.gain_evaluations
         ph = AGreedyPolicy(net, r_gain, substream(seed, i, 1),
                            candidates=candidates)
-        spreads["h"].append(run_policy(net, ph, x, collect_trace=False).spread)
+        spreads["h"].append(run_policy(net, ph, x).spread)
         evals["h"] += ph.gain_evaluations
     pruned = stats["pruned_fraction"]
     ratio = evals["h"] / evals["a"]

@@ -174,6 +174,35 @@ def test_run_policy_matches_spread_count():
     # trace rows are (round, seeded, outcomes, newly_active)
     assert run.trace[0] == (1, (0, 3), (1, 0), (0,))
     assert run.trace[1] == (2, (), (), (1,))
-    no_trace = run_policy(net, StaticSeedListPolicy([0, 3]), x,
-                          collect_trace=False)
-    assert no_trace.trace == [] and no_trace.spread == run.spread
+
+
+class _Script:
+    """Plays a fixed list of commands, then stops."""
+    gain_evaluations = 0
+
+    def __init__(self, commands):
+        self.commands = list(commands)
+
+    def decide(self, net, partial, remaining):
+        return self.commands.pop(0) if self.commands else None
+
+
+def test_step_round_records_the_trace_run_policy_returns():
+    # seed 0, wait a round, seed 3 and 5 (5 fails) while 1 -> 2 fires, drain
+    net = fixture_g1()
+    x = _g1_realization([(1, 0, 0), (0,) * 3, (0,) * 3, (1, 0, 0),
+                         (0,) * 3, (0,) * 3], (1, 1, 0, 1, 0))
+    commands = [SeedCommand(frozenset({0})), EMPTY_COMMAND,
+                SeedCommand(frozenset({5, 3}))]
+    s = start(net, x)
+    for cmd in commands:
+        step_round(s, cmd)
+    run_to_quiescence(s)
+    assert s.trace == [(1, (0,), (1,), (0,)), (2, (), (), (1,)),
+                       (3, (3, 5), (1, 0), (2, 3)), (4, (), (), (4,)),
+                       (5, (), (), ())]
+    run = run_policy(net, _Script(commands), x)
+    assert run.trace == s.trace
+    assert run.seeds == tuple(v for _, seeded, _, _ in s.trace
+                              for v in seeded) == (0, 3, 5)
+    assert run.rounds == 5 and run.spread == len(s.partial.active) == 5

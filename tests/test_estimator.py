@@ -11,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicnet.estimator
-from dicnet.estimator import (Estimate, _LazyRng, _StreamPool, _sum_chunk,
+from dicnet.diffusion import run_policy
+from dicnet.estimator import (Estimate, _StreamPool, _static_spread_total,
                               estimate_policy_spread, half_width,
                               hoeffding_samples, run_replications, substream)
 from dicnet.data import generate_power_law, parse_preset
 from dicnet.fixtures import fixture_g1, random_tiny_network, two_node_fixture
 from dicnet.model import DicNetwork
 from dicnet.oracle import exact_policy_value
-from dicnet.strategies import (RandomPolicy, StaticSeedListPolicy,
-                               static_seed_factory)
+from dicnet.realization import sample_full
+from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
+                               StaticSeedListPolicy, static_seed_factory)
 
 
 def _one_node(p=0.5):
@@ -95,16 +97,21 @@ def test_stream_pool_reproduces_substream_exactly():
         assert np.array_equal(got, want), (index, purpose)
 
 
-def test_lazy_rng_defers_then_matches():
-    pool = _StreamPool(42)
-    lazy = _LazyRng(pool, 5, 1)
-    assert lazy._gen is None
-    got = lazy.random(4)
-    assert np.array_equal(got, substream(42, 5, 1).random(4))
-    # continued draws come from the same stream, not a re-keyed one
-    more = lazy.random(4)
-    assert np.array_equal(np.concatenate([got, more]),
-                          substream(42, 5, 1).random(8))
+def test_policies_draw_from_their_replications_policy_stream():
+    # replication i runs its policy on substream(seed, i, 1) over the world
+    # of substream(seed, i, 0), and a driven estimate is the mean of the
+    # runs' spreads
+    net = fixture_g1()
+    for factory in (RandomPolicy, functools.partial(AGreedyPolicy, net, 30)):
+        rows = run_replications(net, factory, 12, master_seed=9)
+        runs = [run_policy(net, factory(substream(9, i, 1)),
+                           sample_full(net, substream(9, i, 0)))
+                for i in range(12)]
+        assert [(r.spread, r.rounds, r.seeds_used, r.gain_evaluations)
+                for r in rows] == [(run.spread, run.rounds, len(run.seeds),
+                                    run.gain_evaluations) for run in runs]
+        est = estimate_policy_spread(net, factory, 12, master_seed=9)
+        assert est.mean == sum(run.spread for run in runs) / 12
 
 
 def test_run_replications_rows_and_worker_equality():
@@ -154,12 +161,13 @@ def test_estimate_worker_equality():
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     # a stand-in pool records its size and runs each chunk inline, so this
-    # test starts no process
-    sizes = []
+    # test starts no process, whatever CPU count it pretends
+    sizes, submitted = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            submitted.append(0)
 
         def __enter__(self):
             return self
@@ -168,6 +176,7 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted[-1] += 1
             future = Future()
             future.set_result(fn(*args))
             return future
@@ -175,12 +184,17 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(dicnet.estimator, "ProcessPoolExecutor", InlinePool)
     net = two_node_fixture()
     factory = functools.partial(static_seed_factory, [0])
-    # (replications, workers, chunks): the pool gets min(workers, chunks)
-    for reps, workers, chunks in ((2, 64, 2), (3, 2, 3), (30, 4, 15),
-                                  (30, 8, 30)):
+    # (replications, workers, chunks, cpus): the pool gets the least of
+    # workers, chunks and usable CPUs, while the chunks follow workers alone
+    for reps, workers, chunks, cpus in ((2, 64, 2, 64), (3, 2, 3, 64),
+                                        (30, 4, 15, 64), (30, 8, 30, 64),
+                                        (30, 8, 30, 3), (1000, 5000, 1000, 2),
+                                        (30, 4, 15, 1)):
+        monkeypatch.setattr(dicnet.estimator, "_usable_cpus", lambda: cpus)
         est = estimate_policy_spread(net, factory, reps, master_seed=3,
                                      workers=workers)
-        assert sizes[-1] == min(workers, chunks)
+        assert sizes[-1] == min(workers, chunks, cpus)
+        assert submitted[-1] == chunks
         assert est == estimate_policy_spread(net, factory, reps,
                                              master_seed=3)
 
@@ -226,19 +240,21 @@ def test_static_spread_sum_matches_driven_runs(seed):
     # make ranges start mid-block and cross several blocks.
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
-    seeds = rng.integers(0, net.node_count, size=int(rng.integers(0, 6)))
-    factory = functools.partial(static_seed_factory, seeds.tolist())
+    seeds = rng.integers(0, net.node_count,
+                         size=int(rng.integers(0, 6))).tolist()
+    factory = functools.partial(static_seed_factory, seeds)
     spreads = [r.spread for r in run_replications(net, factory, 40,
                                                   master_seed=seed)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dicnet.estimator, "BLOCK_ROWS", 7)
         for i, spread in enumerate(spreads):
-            assert _sum_chunk(net, factory, seed, i, i + 1) == spread
+            assert _static_spread_total(net, seeds, seed, i, i + 1) == spread
         for _ in range(4):
             a, b = sorted(int(i) for i in rng.integers(0, 41, size=2))
             if a < b:
-                assert _sum_chunk(net, factory, seed, a, b) == sum(spreads[a:b])
-        assert _sum_chunk(net, factory, seed, 0, 40) == sum(spreads)
+                assert (_static_spread_total(net, seeds, seed, a, b)
+                        == sum(spreads[a:b]))
+        assert _static_spread_total(net, seeds, seed, 0, 40) == sum(spreads)
 
 
 def test_static_spread_sum_on_a_generated_net(monkeypatch):
@@ -246,8 +262,9 @@ def test_static_spread_sum_on_a_generated_net(monkeypatch):
     monkeypatch.setattr(dicnet.estimator, "BLOCK_ROWS", 7)
     net = generate_power_law(60, 400, 5, parse_preset("f3:0.2,0.5,0.9"), 4,
                              skew=1.0)
-    factory = functools.partial(static_seed_factory, [3, 0, 3, 17, 42])
+    seeds = [3, 0, 3, 17, 42]
+    factory = functools.partial(static_seed_factory, seeds)
     spreads = [r.spread for r in run_replications(net, factory, 30,
                                                   master_seed=11)]
     assert max(spreads) > 5
-    assert _sum_chunk(net, factory, 11, 4, 30) == sum(spreads[4:])
+    assert _static_spread_total(net, seeds, 11, 4, 30) == sum(spreads[4:])

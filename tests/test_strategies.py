@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicnet.diffusion
+import dicnet.strategies
+from dicnet.data import generate_power_law, parse_preset
 from dicnet.diffusion import is_quiescent, run_policy
 from dicnet.estimator import half_width
 from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
@@ -221,6 +223,19 @@ def test_static_greedy_select_takes_the_hub_first():
     net = star_network(5, 0.9, activation=1.0, budget=2)
     picked, _ = static_greedy_select(net, 2, 1000, np.random.default_rng(24))
     assert picked[0] == 0
+
+
+def test_static_greedy_select_draws_in_blocks(monkeypatch):
+    # blocks of one row of each grid, and of 7 rows of the live-edge grid,
+    # continue one stream, so they give the worlds, success bits, picks and
+    # evaluation count of a single draw
+    net = generate_power_law(60, 400, 5, parse_preset("f3:0.2,0.5,0.9"), 4,
+                             skew=1.0)
+    want = static_greedy_select(net, 4, 50, np.random.default_rng(26))
+    for draw_bytes in (1, 8 * 7 * len(net.edges)):
+        monkeypatch.setattr(dicnet.strategies, "_DRAW_BYTES", draw_bytes)
+        assert static_greedy_select(net, 4, 50,
+                                    np.random.default_rng(26)) == want
 
 
 def _run_checking_states(net, policy, x, check):
