@@ -3,8 +3,7 @@
 Each round is simultaneous: nodes named in the seed command consume their next
 seeding-attempt bit while every node of the previous frontier attempts its
 untried out-edges toward targets that were inactive at the start of the round.
-Newly active nodes (seeded or infected) form the next frontier and have the
-draws of their out-edges revealed.
+Newly active nodes (seeded or infected) form the next frontier.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
     points at an active node, so the two scans agree."""
     for u in nodes:
         for eidx, w in net.out_edges[u]:
-            if w not in partial.active and eidx not in partial.resolved_attempts:
+            if w not in partial.active and eidx not in partial.resolved:
                 return False
     return True
 
@@ -66,7 +65,7 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     for v in cmd.nodes:
         if v in partial.active:
             raise InvalidCommand(f"node {v} is already active")
-        if len(partial.attempts[v]) >= net.budget:
+        if partial.used[v] >= net.budget:
             raise InvalidCommand(f"node {v} has no seeding attempts left")
     if state.budget_used + len(cmd.nodes) > net.budget:
         raise InvalidCommand("budget exceeded")
@@ -76,29 +75,23 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     outcomes = []
     newly: set[int] = set()
     for v in seeded:
-        j = len(partial.attempts[v])
-        bit = x.seed_outcomes[v][j]
-        partial.attempts[v].append(bit)
+        bit = x.seed_bits[v * net.budget + partial.used[v]]
+        partial.used[v] += 1
         outcomes.append(bit)
         if bit:
             newly.add(v)
     for u in sorted(state.frontier):
         for eidx, w in net.out_edges[u]:
-            if w in active_at_start or eidx in partial.resolved_attempts:
+            if w in active_at_start or eidx in partial.resolved:
                 continue
-            bit = x.edge_draws[eidx][1]
-            partial.resolved_attempts[eidx] = bit
-            if bit:
+            partial.resolved.add(eidx)
+            if x.success[eidx]:
                 newly.add(w)
     newly -= active_at_start
     partial.active |= newly
-    newly_sorted = tuple(sorted(newly))
-    for v in newly_sorted:
-        for eidx, _ in net.out_edges[v]:
-            partial.revealed_draws[eidx] = x.edge_draws[eidx][0]
     partial.round_index += 1
     state.trace.append((partial.round_index, seeded, tuple(outcomes),
-                        newly_sorted))
+                        tuple(sorted(newly))))
     state.frontier = newly
     state.budget_used += len(cmd.nodes)
     partial.quiescent = is_quiescent(net, partial, newly)
@@ -125,13 +118,14 @@ def spread_count(net: DicNetwork, x: FullRealization, seed_plan) -> int:
     total = sum(mult.values())
     if total > net.budget or any(m > net.budget for m in mult.values()):
         raise InvalidCommand("seed plan exceeds budget")
-    roots = [v for v, m in mult.items() if any(x.seed_outcomes[v][:m])]
+    b = net.budget
+    roots = [v for v, m in mult.items() if any(x.seed_bits[v * b:v * b + m])]
     seen = set(roots)
     queue = deque(roots)
     while queue:
         u = queue.popleft()
         for eidx, w in net.out_edges[u]:
-            if w not in seen and x.edge_draws[eidx][1]:
+            if w not in seen and x.success[eidx]:
                 seen.add(w)
                 queue.append(w)
     return len(seen)

@@ -180,10 +180,6 @@ class DicNetwork:
         return keys, values, last[of_edge]
 
     @cached_property
-    def edge_means(self) -> tuple[float, ...]:
-        return tuple(self.edge_arrays[2].tolist())
-
-    @cached_property
     def edge_arrays(self):
         """(src, dst, mean) numpy arrays over edges, for vectorized masking;
         each law's mean is computed once."""

@@ -96,9 +96,10 @@ def enumerate_realizations(net: DicNetwork):
         prob = 1.0
         for _, p in combo:
             prob *= p
-        seeds = tuple(c[0] for c in combo[:n])
-        draws = tuple(c[0] for c in combo[n:])
-        yield FullRealization(seeds, draws), prob
+        draws = [c[0] for c in combo[n:]]
+        yield FullRealization([bit for bits, _ in combo[:n] for bit in bits],
+                              [value for value, _ in draws],
+                              [success for _, success in draws]), prob
 
 
 def exact_policy_value(net: DicNetwork, policy_factory) -> float:
@@ -175,12 +176,6 @@ def _round_branches(net: DicNetwork, belief, seeds):
     return out
 
 
-def _eligible(net: DicNetwork, belief):
-    active, consumed, _ = belief
-    return [v for v in range(net.node_count)
-            if v not in active and consumed[v] < net.budget]
-
-
 def exact_marginal_gain(net: DicNetwork, active, v) -> float:
     """Exact conditional gain of seeding v now, given the active set: v's
     activation probability times the expected number of inactive nodes v
@@ -201,7 +196,7 @@ def exact_marginal_gain(net: DicNetwork, active, v) -> float:
     k = len(relevant)
     if k > GAIN_EDGE_GUARD:
         raise EnumerationGuard(2 ** k)
-    means = [net.edge_means[e] for e in relevant]
+    means = net.edge_arrays[2][relevant].tolist()
     expected = 0.0
     for mask in range(2 ** k):
         prob = 1.0
@@ -263,7 +258,7 @@ def _adaptive_moves(net: DicNetwork, greedy: bool):
         active, consumed, pending = belief
         if pending:
             return ((),), step              # wait for the cascade to settle
-        elig = _eligible(net, belief)
+        elig = _eligible_nodes(net, active, consumed)
         if sum(consumed) >= net.budget or not elig:
             return None
         if greedy:
@@ -278,10 +273,10 @@ def _pattern_moves(net: DicNetwork, schedule):
     schedule the cascade drains."""
 
     def moves(belief, i):
-        _, consumed, pending = belief
+        active, consumed, pending = belief
         if i == len(schedule):
             return (((),), i) if pending else None
-        elig = _eligible(net, belief)
+        elig = _eligible_nodes(net, active, consumed)
         k = min(schedule[i], len(elig), net.budget - sum(consumed))
         return itertools.combinations(elig, k), i + 1
 
@@ -315,7 +310,7 @@ class ExactGainPolicy:
     def decide(self, net, partial, remaining):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
-        elig = _eligible_nodes(net, partial)
+        elig = _eligible_nodes(net, partial.active, partial.used)
         if not elig:
             return None
         self.gain_evaluations += len(elig)

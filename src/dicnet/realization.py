@@ -1,10 +1,10 @@
 """Full and partial realizations of the cascade's random outcomes.
 
-A full realization fixes every random coordinate up front: per-node seeding
-attempt outcomes (a length-B bit vector consumed in order) and per-edge the
-drawn propagation value together with the single attempt's success bit.  A
-partial realization records only what has been observed so far; the simulator
-keeps the full realization private.
+A full realization fixes every random coordinate up front: per node a
+length-B vector of seeding-attempt outcome bits, consumed in order, and per
+edge the drawn propagation value and the single attempt's success bit.  A
+partial realization records only what the policies read of the observation;
+the simulator keeps the full realization private.
 """
 
 from __future__ import annotations
@@ -19,37 +19,36 @@ from .model import DicNetwork
 
 @dataclass(frozen=True)
 class FullRealization:
-    seed_outcomes: tuple[tuple[int, ...], ...]   # [node][attempt] -> 0/1
-    edge_draws: tuple[tuple[float, int], ...]    # [edge] -> (value, success)
+    """Flat, as `map_uniforms` lays the coordinates out: bit j of node v at
+    `seed_bits[v*B + j]`, and per edge its drawn value and success bit."""
+
+    seed_bits: list[int]                         # 0/1, node-major
+    values: list[float]
+    success: list[int]                           # 0/1
 
 
 @dataclass
 class PartialRealization:
-    """Observable history: active set, consumed seed attempts with their
-    outcomes, revealed edge draws, resolved attempt bits, and whether the
-    observed cascade is quiescent (kept up to date by `step_round`)."""
+    """Observable history as the policies read it: the active set, the
+    seeding attempts used per node, the edges already attempted, and whether
+    the observed cascade is quiescent (kept up to date by `step_round`).
+    The outcome of each round is in the state's trace."""
 
     active: set[int]
-    attempts: list[list[int]]                    # per node, outcome bits so far
-    revealed_draws: dict[int, float] = field(default_factory=dict)
-    resolved_attempts: dict[int, int] = field(default_factory=dict)
+    used: list[int]                              # per node, attempts so far
+    resolved: set[int] = field(default_factory=set)
     round_index: int = 0
     quiescent: bool = True
 
     def copy(self) -> "PartialRealization":
-        return PartialRealization(
-            set(self.active),
-            [list(a) for a in self.attempts],
-            dict(self.revealed_draws),
-            dict(self.resolved_attempts),
-            self.round_index,
-            self.quiescent,
-        )
+        return PartialRealization(set(self.active), list(self.used),
+                                  set(self.resolved), self.round_index,
+                                  self.quiescent)
 
 
 def empty_partial(net: DicNetwork) -> PartialRealization:
-    """The all-undetermined observation: nothing active, nothing revealed."""
-    return PartialRealization(set(), [[] for _ in range(net.node_count)])
+    """The all-undetermined observation: nothing active, nothing attempted."""
+    return PartialRealization(set(), [0] * net.node_count)
 
 
 def map_uniforms(net: DicNetwork, u: np.ndarray):
@@ -84,9 +83,8 @@ def sample_full(net: DicNetwork, rng) -> FullRealization:
     m = len(net.edges)
     u = rng.random(n * b + 2 * m)            # one draw call: seeds, draws, attempts
     seeds, values, success = map_uniforms(net, u.reshape(1, -1))
-    bits = seeds.reshape(n, b).view(np.int8).tolist()
-    draws = zip(values[0].tolist(), success[0].view(np.int8).tolist())
-    return FullRealization(tuple(map(tuple, bits)), tuple(draws))
+    return FullRealization(seeds[0].view(np.int8).tolist(), values[0].tolist(),
+                           success[0].view(np.int8).tolist())
 
 
 def probability_of(net: DicNetwork, x: FullRealization) -> float:
@@ -99,12 +97,13 @@ def probability_of(net: DicNetwork, x: FullRealization) -> float:
     def _ln(p: float) -> float:
         return math.log(p) if p > 0.0 else float("-inf")
 
+    b = net.budget
     for v in range(net.node_count):
         p = net.activation[v]
-        for bit in x.seed_outcomes[v]:
+        for bit in x.seed_bits[v * b:(v + 1) * b]:
             logp += _ln(p) if bit else _ln(1.0 - p)
     for e, (_, _, dist) in enumerate(net.edges):
-        value, success = x.edge_draws[e]
+        value, success = x.values[e], x.success[e]
         try:
             k = dist.values.index(value)
         except ValueError:

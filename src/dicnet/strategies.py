@@ -23,10 +23,13 @@ def observably_quiescent(net: DicNetwork, partial: PartialRealization) -> bool:
     return partial.quiescent
 
 
-def _eligible_nodes(net: DicNetwork, partial: PartialRealization, candidates=None):
+def _eligible_nodes(net: DicNetwork, active, used, candidates=None):
+    """The nodes of `candidates` (all nodes when None), ascending, that are
+    inactive and have a seeding attempt left, `used[v]` being node v's spent
+    attempts: the observation's `used` or an oracle belief's counts."""
     pool = range(net.node_count) if candidates is None else sorted(candidates)
-    return [v for v in pool
-            if v not in partial.active and len(partial.attempts[v]) < net.budget]
+    b = net.budget
+    return [v for v in pool if v not in active and used[v] < b]
 
 
 class RandomPolicy:
@@ -38,7 +41,7 @@ class RandomPolicy:
         self.gain_evaluations = 0
 
     def decide(self, net, partial, remaining):
-        elig = _eligible_nodes(net, partial)
+        elig = _eligible_nodes(net, partial.active, partial.used)
         if not elig:
             return None
         picks = self.rng.choice(elig, size=1, replace=False)
@@ -286,7 +289,8 @@ class AGreedyPolicy:
     def decide(self, net, partial, remaining):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
-        elig = _eligible_nodes(net, partial, self.candidates)
+        elig = _eligible_nodes(net, partial.active, partial.used,
+                               self.candidates)
         if not elig:
             return None
         active = partial.active

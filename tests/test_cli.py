@@ -1,10 +1,14 @@
 """Command-line harness: output schema, determinism, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dicnet.cli
 from dicnet.cli import CSV_HEADER, ConfigError, main, parse_budgets
@@ -354,3 +358,96 @@ def test_preset_and_activation_override_whenever_given(tmp_path, capsys):
                  "--activation", "0.5", "--out", out]) == 0
     _, _, _, mean, hw = _read_rows(out + ".summary.csv")[1]
     assert abs(float(mean) - 0.74) <= float(hw)
+
+
+# Values of each setting near and past its bounds, mixed with values of the
+# wrong JSON type.  Sample sizes and worker counts stay small, and each
+# config starts from small sample sizes (at the default R = 10000 a run takes
+# seconds), so every accepted config runs in well under a second.  "NET" and
+# "bad.json" stand for a file of the two-node fixture and a malformed one.
+_WRONG_TYPE = (st.none() | st.booleans() | st.integers(-2 ** 70, 3)
+               | st.floats() | st.text(max_size=4) | st.lists(st.none(), max_size=2)
+               | st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
+_SETTING_VALUES = {
+    "net": st.sampled_from(["NET", "", "absent.json", ".", "bad.json"]),
+    "gen": st.sampled_from(["2,2,1", "12,40,1", "", "2,2", "2,x,1", "1,0,0",
+                            "-2,2,1", "2,9,1"]),
+    "fixture": st.sampled_from(["g1", "two-node", "g2", ""]),
+    "preset": st.sampled_from(["f1:0.3", "f3:0.1,0.5", "f2:0.2,2", "f2:nan,3",
+                               "f1:2", "f9:1", ""]),
+    "activation": st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), 1e400]),
+    "budgets": st.sampled_from(["1", "2", "1..2", "0", "3", "2..1", "1..2:0",
+                                "1,2", "x"]),
+    "reps": st.integers(-1, 4), "R": st.integers(-1, 6),
+    "R_pre": st.integers(-1, 6), "trials": st.integers(-1, 6),
+    "seed": st.integers(-1, 3) | st.sampled_from([2 ** 64 - 1, 2 ** 64]),
+    "workers": st.integers(-1, 2),
+    "delta": st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), 1e400]),
+    "strategies": st.sampled_from(["random", "greedy,a-greedy", "h-greedy",
+                                   "random,bogus", ""]),
+    "policy": st.sampled_from(["empty", "static:0", "static:0,1", "static:5",
+                               "static:x", "warp:0"]),
+}
+_CONFIG_COMMANDS = (["run"], ["prune-stats"], ["gen"],
+                    *(["oracle", s] for s in ("properties", "theorem1",
+                                              "theorem2", "pattern-optimality",
+                                              "greedy-guarantee",
+                                              "exact-value")))
+
+
+@st.composite
+def _config_text(draw, names, small):
+    """A --config file's text: mostly `small` overlaid with some of the
+    settings `names`, sometimes with a setting of another command, any JSON
+    value or no JSON at all."""
+    kind = draw(st.integers(0, 19))
+    if kind == 1:
+        return draw(st.sampled_from(["", "{", "[1,", "nul", "{} {}"]))
+    if kind == 2:
+        return json.dumps(draw(_WRONG_TYPE))
+    config = dict(small)
+    for name in draw(st.lists(st.sampled_from(names), max_size=5, unique=True)):
+        wrong = draw(st.integers(0, 4)) == 3
+        config[name] = draw(_WRONG_TYPE if wrong else _SETTING_VALUES[name])
+    if kind == 3:
+        config[draw(st.sampled_from(["bogus", "R-pre", "trials", "policy",
+                                     "strategies"]))] = 1
+    return json.dumps(config)
+
+
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS,
+                         ids=[" ".join(c) for c in _CONFIG_COMMANDS])
+def test_random_config_objects_exit_with_a_code(tmp_path, command):
+    # whatever the --config file holds, `dicnet` returns an exit code, and
+    # an exit of 2, 3 or 4 comes with one `error:` line; the oracle runs on
+    # the two-node fixture unless the config names a --net or --gen network
+    save_network(two_node_fixture(), str(tmp_path / "NET"))
+    (tmp_path / "bad.json").write_text('{"nodes": 2}')
+    cfg = tmp_path / "config.json"
+    out = str(tmp_path / "r.csv")
+    oracle = command[0] == "oracle"
+    typed = ["--fixture", "two-node"] if oracle else []
+    # the typed --out keeps every file the command writes in tmp_path
+    names = [k for k in dicnet.cli.SETTINGS if k != "out"
+             and dicnet.cli._OWNER.get(k, command[0]) == command[0]]
+    small = {"reps": 2, "R": 5, "R_pre": 5,
+             **({"budgets": "1"} if command[0] != "run" else {}),
+             **({"gen": "2,2,1"} if command[0] == "gen" else {}),
+             **({"trials": 5} if oracle else {})}
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(_config_text(names, small))
+    def check(text):
+        cfg.write_text(text.replace('"NET"', json.dumps(str(tmp_path / "NET")))
+                       .replace('"bad.json"', json.dumps(str(tmp_path / "bad.json"))))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([*command, "--config", str(cfg), *typed, "--out", out])
+        assert rc in (0, 1, 2, 3, 4)
+        if rc >= 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    check()

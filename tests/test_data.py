@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dicnet.data import (SchemaError, generate_power_law, load_edge_list,
                          load_network, parse_preset, save_network)
@@ -255,3 +257,72 @@ def test_load_network_rejects_wrong_json_shapes(tmp_path, doc, message):
         fh.write(json.dumps(doc).replace("Infinity", "1e400"))
     with pytest.raises(SchemaError, match=message):
         load_network(path)
+
+
+# a JSON value of any shape, with numbers near the edges of each field's range
+_JSON = st.recursive(
+    st.none() | st.booleans()
+    | st.integers(-3, 8) | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "fixed", "uniform", "discrete", "exp", "0.5", "1"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["type", "p", "values", "support",
+                                       "mean", "bins", "src", "dst", "dist",
+                                       "x"]), inner, max_size=4),
+    max_leaves=8)
+
+_VALID_DOC = {
+    "edges": [
+        {"src": 0, "dst": 1, "dist": {"type": "fixed", "p": 0.3}},
+        {"src": 1, "dst": 2, "dist": {"type": "uniform", "values": [0.1, 0.4]}},
+        {"src": 2, "dst": 0,
+         "dist": {"type": "discrete", "support": [[0.2, 0.5], [0.6, 0.5]]}},
+        {"src": 0, "dst": 2, "dist": {"type": "exp", "mean": 0.2, "bins": 4}},
+    ],
+    "activation": [0.5, 0.2, 1.0], "budget": 2, "nodes": 3}
+
+
+def _mutate(data, doc):
+    """Walk from the root to a random entry and replace or delete it."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if (isinstance(child, (dict, list)) and child
+                and data.draw(st.integers(0, 3)) > 0):
+            node = child
+            continue
+        if data.draw(st.booleans()):
+            node[key] = data.draw(_JSON)
+        else:
+            del node[key]
+        return
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_load_network_accepts_or_rejects_mutated_documents(tmp_path, data):
+    # a valid document with a few entries replaced or deleted loads or
+    # raises SchemaError, the error that `dicnet` turns into exit code 2;
+    # a huge scalar-activation node count would only exhaust memory
+    doc = json.loads(json.dumps(_VALID_DOC))
+    if data.draw(st.booleans()):
+        doc["activation"] = 0.5
+    for _ in range(data.draw(st.integers(1, 3))):
+        edges = doc.get("edges")
+        deep = isinstance(edges, list) and data.draw(st.booleans())
+        _mutate(data, edges if deep else doc)
+    nodes = doc.get("nodes")
+    assume(not (type(nodes) is int and nodes > 10 ** 5))
+    path = str(tmp_path / "net.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    try:
+        net = load_network(path)
+    except SchemaError:
+        return
+    assert validate_network(net) is None

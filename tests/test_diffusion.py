@@ -15,8 +15,8 @@ def _g1_realization(seed_bits, edge_bits, values=None):
     attempt vector, edge_bits[e] the attempt success, values optional."""
     if values is None:
         values = (0.4,) * 5
-    return FullRealization(tuple(tuple(b) for b in seed_bits),
-                           tuple(zip(values, edge_bits)))
+    return FullRealization([bit for bits in seed_bits for bit in bits],
+                           list(values), list(edge_bits))
 
 
 ALL_FAIL = _g1_realization([(0, 0, 0)] * 6, (0, 0, 0, 0, 0))
@@ -39,14 +39,13 @@ def test_full_chain_cascade_trace():
     assert s.partial.active == {0}
     assert s.frontier == {0}
     assert not s.partial.quiescent
-    assert s.partial.attempts[0] == [1]
-    assert s.partial.revealed_draws == {0: 0.4}     # out-edges of node 0
+    assert s.partial.used[0] == 1
     for k in range(1, 6):
         step_round(s, EMPTY_COMMAND)
         assert s.partial.active == set(range(k + 1))
     assert s.partial.quiescent
     assert s.partial.round_index == 6
-    assert s.partial.resolved_attempts == {e: 1 for e in range(5)}
+    assert s.partial.resolved == set(range(5))
 
 
 def test_failed_seed_is_observed_and_consumes_attempt():
@@ -54,10 +53,9 @@ def test_failed_seed_is_observed_and_consumes_attempt():
     s = start(net, ALL_FAIL)
     step_round(s, SeedCommand(frozenset({2})))
     assert s.partial.active == set()
-    assert s.partial.attempts[2] == [0]
+    assert s.partial.used[2] == 1
     assert s.budget_used == 1
     assert s.partial.quiescent              # nothing is pending
-    assert s.partial.revealed_draws == {}   # inactive nodes reveal nothing
 
 
 def test_simultaneous_seed_and_propagation():
@@ -75,7 +73,7 @@ def test_simultaneous_seed_and_propagation():
     assert s.partial.active == {0, 1, 3, 4}
     run_to_quiescence(s)
     assert s.partial.active == {0, 1, 3, 4}
-    assert s.partial.resolved_attempts == {0: 1, 1: 0, 3: 1, 4: 0}
+    assert s.partial.resolved == {0, 1, 3, 4}
 
 
 def test_null_round_rejected_only_when_quiescent():
@@ -104,7 +102,7 @@ def test_attempt_exhaustion_and_budget():
     step_round(s, SeedCommand(frozenset({1})))
     step_round(s, SeedCommand(frozenset({1})))
     step_round(s, SeedCommand(frozenset({1})))
-    assert s.budget_used == 3 and s.partial.attempts[1] == [0, 0, 0]
+    assert s.budget_used == 3 and s.partial.used[1] == 3
     with pytest.raises(InvalidCommand):     # per-node attempts exhausted
         step_round(s, SeedCommand(frozenset({1})))
     s2 = start(net, ALL_FAIL)
@@ -156,9 +154,6 @@ def test_policy_sees_only_the_partial_observation():
         # no attribute of the observation exposes latent coordinates
         assert not any(isinstance(v, FullRealization)
                        for v in vars(partial).values())
-        # unrevealed edge draws stay hidden: only out-edges of active nodes
-        for eidx in partial.revealed_draws:
-            assert net.edges[eidx][0] in partial.active
 
 
 def test_run_policy_matches_spread_count():

@@ -24,23 +24,22 @@ def _sample_full_reference(net, rng):
     n, b = net.node_count, net.budget
     m = len(net.edges)
     u = rng.random(n * b + 2 * m).tolist()
-    seeds = tuple(tuple(int(u[v * b + j] < net.activation[v]) for j in range(b))
-                  for v in range(n))
-    draws = []
+    seeds = [int(u[v * b + j] < net.activation[v])
+             for v in range(n) for j in range(b)]
+    values, success = [], []
     for e, (_, _, dist) in enumerate(net.edges):
         k = bisect_left(dist.cum_masses, u[n * b + e])
-        value = dist.values[min(k, len(dist.values) - 1)]
-        draws.append((value, int(u[n * b + m + e] < value)))
-    return FullRealization(seeds, tuple(draws))
+        values.append(dist.values[min(k, len(dist.values) - 1)])
+        success.append(int(u[n * b + m + e] < values[-1]))
+    return FullRealization(seeds, values, success)
 
 
 def test_empty_partial_shape():
     net = fixture_g1()
     y = empty_partial(net)
     assert y.active == set()
-    assert y.attempts == [[] for _ in range(6)]
-    assert y.revealed_draws == {}
-    assert y.resolved_attempts == {}
+    assert y.used == [0] * 6
+    assert y.resolved == set()
     assert y.round_index == 0
 
 
@@ -49,9 +48,9 @@ def test_partial_copy_is_deep():
     y = empty_partial(net)
     z = y.copy()
     z.active.add(0)
-    z.attempts[0].append(1)
-    z.revealed_draws[0] = 0.4
-    assert y.active == set() and y.attempts[0] == [] and y.revealed_draws == {}
+    z.used[0] += 1
+    z.resolved.add(0)
+    assert y.active == set() and y.used[0] == 0 and y.resolved == set()
 
 
 def test_sample_full_shapes_and_determinism():
@@ -59,10 +58,10 @@ def test_sample_full_shapes_and_determinism():
     x1 = sample_full(net, np.random.default_rng(3))
     x2 = sample_full(net, np.random.default_rng(3))
     assert x1 == x2
-    assert len(x1.seed_outcomes) == 6
-    assert all(len(row) == 3 for row in x1.seed_outcomes)
-    assert len(x1.edge_draws) == 5
-    for value, success in x1.edge_draws:
+    assert len(x1.seed_bits) == 6 * 3           # node-major, B = 3
+    assert set(x1.seed_bits) <= {0, 1}
+    assert len(x1.values) == len(x1.success) == 5
+    for value, success in zip(x1.values, x1.success):
         assert value in (0.4, 0.8)
         assert success in (0, 1)
 
@@ -105,8 +104,8 @@ def test_sample_full_marginal_laws():
     succ_given_lo = [0, 0]
     for _ in range(reps):
         x = sample_full(net, rng)
-        seed_hits += x.seed_outcomes[2][1]
-        value, success = x.edge_draws[3]
+        seed_hits += x.seed_bits[2 * 3 + 1]    # node 2, second attempt
+        value, success = x.values[3], x.success[3]
         draw_hi += value == 0.8
         if value == 0.4:
             succ_given_lo[0] += 1
@@ -119,16 +118,16 @@ def test_sample_full_marginal_laws():
 
 def test_probability_of_hand_values():
     net = two_node_fixture()  # activation 1.0, budget 1, edge TWO_POINT
-    x = FullRealization(((1,), (1,)), (((0.4, 1)),))
+    x = FullRealization([1, 1], [0.4], [1])
     # P = 1 * 1 * 0.8 * 0.4
     assert probability_of(net, x) == pytest.approx(math.log(0.8 * 0.4))
-    x = FullRealization(((1,), (1,)), ((0.8, 0),))
+    x = FullRealization([1, 1], [0.8], [0])
     assert probability_of(net, x) == pytest.approx(math.log(0.2 * 0.2))
     # zero-probability coordinate: seeding failure under activation 1.0
-    x = FullRealization(((0,), (1,)), ((0.4, 1),))
+    x = FullRealization([0, 1], [0.4], [1])
     assert probability_of(net, x) == float("-inf")
     # unsupported draw value
-    x = FullRealization(((1,), (1,)), ((0.5, 1),))
+    x = FullRealization([1, 1], [0.5], [1])
     with pytest.raises(ValueError):
         probability_of(net, x)
 
@@ -141,6 +140,6 @@ def test_probability_of_sums_to_one_over_support():
         for s1 in (0, 1):
             for value in (0.4, 0.8):
                 for succ in (0, 1):
-                    x = FullRealization(((s0,), (s1,)), ((value, succ),))
+                    x = FullRealization([s0, s1], [value], [succ])
                     total += math.exp(probability_of(net, x))
     assert total == pytest.approx(1.0, abs=1e-12)

@@ -38,12 +38,12 @@ def test_observably_quiescent():
     assert is_quiescent(net, y, y.active)
     y.active.add(2)                     # edge 2->3 unresolved
     assert not is_quiescent(net, y, y.active)
-    y.resolved_attempts[2] = 0
+    y.resolved.add(2)
     assert is_quiescent(net, y, y.active)
     y.active.add(3)                     # now 3->4 pending instead
     assert not is_quiescent(net, y, y.active)
     y.active.add(4)
-    y.resolved_attempts[4] = 1
+    y.resolved.add(4)
     assert is_quiescent(net, y, y.active)
 
 
@@ -271,7 +271,7 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
 
     def check(partial):
         assert partial.quiescent == is_quiescent(net, partial, partial.active)
-        for e in partial.resolved_attempts:
+        for e in partial.resolved:
             assert net.edges[e][0] in partial.active
         for v in range(net.node_count):
             if v in partial.active:
@@ -415,9 +415,12 @@ def test_runs_keep_limits_and_ignore_unobserved_coordinates(seed):
         assert all(k <= net.budget for k in used.values())
         active = {v for _, _, _, newly in run.trace for v in newly}
         assert run.spread == len(active)
+        b = net.budget
         z = FullRealization(
-            tuple(x.seed_outcomes[v][:used[v]] + y.seed_outcomes[v][used[v]:]
-                  for v in range(net.node_count)),
-            tuple(x.edge_draws[e] if u in active else y.edge_draws[e]
-                  for e, (u, _, _) in enumerate(net.edges)))
+            [(x if j < used[v] else y).seed_bits[v * b + j]
+             for v in range(net.node_count) for j in range(b)],
+            [(x if u in active else y).values[e]
+             for e, (u, _, _) in enumerate(net.edges)],
+            [(x if u in active else y).success[e]
+             for e, (u, _, _) in enumerate(net.edges)])
         assert run_policy(net, make(), z) == run

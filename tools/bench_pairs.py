@@ -11,7 +11,9 @@ host's speed falls on both sides alike.  Writes `BENCH_<pr>.json` at the
 root of this checkout: every run's end-to-end metrics, per workload and
 metric the median and interquartile range of each side and the number of
 pairs the change won, and the machine and both sides' commits and source
-digests as the runs' own perfbench records give them.
+digests as the runs' own perfbench records give them.  A side whose `src/`
+differs from its commit is marked `"uncommitted": true`: its `git_commit`
+then names the commit its source was changed from.
 
 Exit codes: 0 the file was written, 1 a run failed, 2 bad arguments.
 """
@@ -67,6 +69,13 @@ def run_once(checkout: Path, workload: str, seed: int,
     with open(checkout / path, encoding="utf-8") as fh:
         record = json.load(fh)
     return json.loads(lines[-1]), record
+
+
+def uncommitted(checkout: Path) -> bool:
+    """True when git reports changes under the checkout's `src/`."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.returncode == 0 and bool(proc.stdout.strip())
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -140,10 +149,11 @@ def main(argv=None) -> int:
         return 1
     record["machine"] = {k: v for k, v in machines["change"].items()
                          if k not in ("git_commit", "src_sha256")}
-    # the change's git_commit is this checkout's HEAD; its src_sha256 names
+    # each side's git_commit is its checkout's HEAD and its src_sha256 names
     # the source it ran, committed or not
     record["commits"] = {side: {"git_commit": m["git_commit"],
-                                "src_sha256": m["src_sha256"]}
+                                "src_sha256": m["src_sha256"],
+                                "uncommitted": uncommitted(sides[side])}
                          for side, m in machines.items()}
     record["summary"] = summarize(record["runs"], bench["end_to_end"])
     out = ROOT / f"BENCH_{args.pr}.json"
