@@ -116,6 +116,9 @@ def _resolve_network(args, given, budgets=(1,)):
             n, m, s = int(n_s), int(m_s), int(s_s)
         except ValueError:
             raise ConfigError(f"bad --gen spec {args.gen!r}") from None
+        if not 0 <= s < 1 << 128:                 # a Philox key is 128 bits
+            raise ConfigError(f"--gen seed must be an integer in [0, 2**128), "
+                              f"got {s!r}")
         net = generate_power_law(n, m, s, preset, budget=1)
     else:
         if args.net:

@@ -134,7 +134,9 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     Nodes arrive in order; node i brings a stub count skewed toward early
     arrivals (so hubs emerge even at a high average degree) and wires each
     stub to an existing node chosen with probability proportional to the
-    square of its degree, which sharpens the hub hierarchy.  Every
+    square of its degree, which sharpens the hub hierarchy.  A node's
+    picks are distinct earlier nodes, so every pair is new and the stub
+    counts alone hit the target: no top-up pass is needed.  Every
     undirected pair is stored as two directed edges.  `skew` controls how
     steeply the stub budget concentrates on early arrivals (larger values
     give a denser core and more degree-poor fringe nodes).
@@ -175,39 +177,19 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
             raise ValueError("could not balance stub counts to the target")
     degree = np.zeros(n)
     degree[0] = 1.0                               # seed weight for the first pick
-    seen: set[tuple[int, int]] = set()
     pairs: list[tuple[int, int]] = []
     for i in range(1, n):
-        want = int(stubs[i - 1])
         weights = degree[:i] ** 2.0
-        picked: list[int] = []
-        for _ in range(want):
-            if weights.sum() <= 0:
-                break
-            t = int(rng.choice(i, p=weights / weights.sum()))
-            picked.append(t)
+        # Generator.choice(i, p=weights / weights.sum())'s own steps, one
+        # uniform per pick, without its per-call check of p
+        for u in rng.random(int(stubs[i - 1])).tolist():
+            cdf = (weights / weights.sum()).cumsum()
+            cdf /= cdf[-1]
+            t = int(cdf.searchsorted(u, side="right"))
+            pairs.append((t, i))
             weights[t] = 0.0                      # no duplicate pairs from one node
-        for t in picked:
-            pairs.append((min(i, t), max(i, t)))
-            seen.add((min(i, t), max(i, t)))
             degree[t] += 1.0
             degree[i] += 1.0
-        if degree[i] == 0.0:
-            degree[i] = 1.0
-    # top up if duplicate-avoidance fell short of the target
-    guard = 0
-    while len(pairs) < pair_target:
-        u = int(rng.choice(n, p=degree / degree.sum()))
-        w = int(rng.integers(n))
-        key = (min(u, w), max(u, w))
-        if u != w and key not in seen:
-            seen.add(key)
-            pairs.append(key)
-            degree[u] += 1.0
-            degree[w] += 1.0
-        guard += 1
-        if guard > 100 * pair_target:
-            raise ValueError("could not reach the edge target")
     directed = [e for u, w in pairs for e in ((u, w), (w, u))]
     return _apply_preset(n, directed, preset, budget)
 
@@ -247,17 +229,21 @@ def _dist_from_json(obj: dict, where: str) -> PropagationDistribution:
 
 
 def save_network(net: DicNetwork, path: str) -> None:
+    # one JSON object per law object, keyed by identity: equal laws may
+    # still print differently (1 against 1.0)
+    laws = {id(d): d for _, _, d in net.edges}
+    dists = {key: _dist_to_json(d) for key, d in laws.items()}
     doc = {
         "nodes": net.node_count,
         "budget": net.budget,
         "activation": (net.activation[0]
                        if len(set(net.activation)) == 1
                        else list(net.activation)),
-        "edges": [{"src": u, "dst": w, "dist": _dist_to_json(d)}
+        "edges": [{"src": u, "dst": w, "dist": dists[id(d)]}
                   for u, w, d in net.edges],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))               # the C encoder; json.dump is pure Python
         fh.write("\n")
 
 

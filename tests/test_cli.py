@@ -113,6 +113,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["run", "--fixture", "g1", "--budgets", "9",
                  "--out", out]) == 2               # budget > node count
     assert main(["run", "--gen", "5,x,1", "--out", out]) == 2
+    # a --gen seed outside the Philox key range names the flag
+    for seed in (-1, 2 ** 128):
+        capsys.readouterr()
+        assert main(["gen", "--gen", f"5,8,{seed}",
+                     "--out", str(tmp_path / "n.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --gen seed must be an integer in [0, 2**128), "
+                       f"got {seed}\n")
+    for seed in (0, 2 ** 128 - 1):
+        assert main(["gen", "--gen", f"5,8,{seed}",
+                     "--out", str(tmp_path / "n.json")]) == 0
     assert main(["gen", "--out", str(tmp_path / "n.json")]) == 2
     deep = tmp_path / "deep.json"                  # past the recursion limit
     deep.write_text("[" * 200000 + "]" * 200000)

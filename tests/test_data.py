@@ -4,13 +4,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dicnet.data import (SchemaError, generate_power_law, load_edge_list,
-                         load_network, parse_preset, save_network)
+from dicnet.data import (SchemaError, _dist_to_json, generate_power_law,
+                         load_edge_list, load_network, parse_preset,
+                         save_network)
 from dicnet.fixtures import fixture_g1, two_node_fixture
-from dicnet.model import mean_propagation, validate_network
+from dicnet.model import (PropagationDistribution, mean_propagation,
+                          validate_network)
 
 PRESET = parse_preset("f1:0.1")
 INF = float("inf")
@@ -111,6 +113,98 @@ def test_generator_minimal_and_invalid_targets():
         generate_power_law(1, 2, 0, PRESET, 1)
 
 
+def _choice_wired_pairs(n, edges_target, seed, skew):
+    """The generator's undirected pairs as it drew them before it inlined
+    `Generator.choice`: one `rng.choice(i, p=...)` call per pick.  Its
+    top-up pass for a short count is replaced by the assert that says it
+    never ran."""
+    pair_target = edges_target // 2
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    raw = np.arange(1, n, dtype=float) ** -skew
+    extra = pair_target - (n - 1)
+    stubs = 1 + np.floor(raw * extra / raw.sum()).astype(int)
+    stubs = np.minimum(stubs, np.arange(1, n))
+    diff = pair_target - int(stubs.sum())
+    order = np.argsort(-raw, kind="stable")
+    idx = 0
+    while diff != 0:
+        j = order[idx % len(order)]
+        cap = j + 1
+        if diff > 0 and stubs[j] < cap:
+            room = min(diff, cap - stubs[j])
+            stubs[j] += room
+            diff -= room
+        elif diff < 0 and stubs[j] > 1:
+            room = min(-diff, stubs[j] - 1)
+            stubs[j] -= room
+            diff += room
+        idx += 1
+    degree = np.zeros(n)
+    degree[0] = 1.0
+    pairs = []
+    for i in range(1, n):
+        want = int(stubs[i - 1])
+        weights = degree[:i] ** 2.0
+        picked = []
+        for _ in range(want):
+            if weights.sum() <= 0:
+                break
+            t = int(rng.choice(i, p=weights / weights.sum()))
+            picked.append(t)
+            weights[t] = 0.0
+        for t in picked:
+            pairs.append((min(i, t), max(i, t)))
+            degree[t] += 1.0
+            degree[i] += 1.0
+        if degree[i] == 0.0:
+            degree[i] = 1.0
+    assert len(pairs) == pair_target
+    return pairs
+
+
+@st.composite
+def _generator_args(draw):
+    n = draw(st.integers(2, 80))
+    pair_target = draw(st.integers(n - 1, n * (n - 1) // 2))
+    return (n, 2 * pair_target, draw(st.integers(0, 2 ** 32)),
+            draw(st.sampled_from([0.0, 0.5, 1.5, 3.0])))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_generator_args())
+@example((2, 2, 0, 0.0))
+@example((80, 2 * 79, 5, 3.0))
+@example((80, 80 * 79, 5, 0.0))
+@example((80, 80 * 79, 6, 3.0))
+@example((57, 2 * 56 + 2, 1, 1.5))
+@example((57, 57 * 56 - 2, 2, 0.5))
+def test_generator_matches_choice_wiring(args):
+    # the inline wiring draws the same edges as one rng.choice per pick
+    n, edges_target, seed, skew = args
+    net = generate_power_law(n, edges_target, seed, PRESET, 1, skew=skew)
+    want = tuple((u, w, PRESET.distribution)
+                 for t, i in _choice_wired_pairs(n, edges_target, seed, skew)
+                 for u, w in ((t, i), (i, t)))
+    assert net.edges == want
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(2, 80), st.booleans(), st.integers(0, 2 ** 32),
+       st.sampled_from([0.0, 0.5, 1.5, 3.0]))
+def test_generator_hits_extreme_targets_exactly(n, complete, seed, skew):
+    # a tree of n-1 pairs and the complete graph: each node's picks are
+    # distinct earlier nodes, so the stub counts alone give the target
+    edges_target = n * (n - 1) if complete else 2 * (n - 1)
+    if complete:
+        skew = 3.0
+    net = generate_power_law(n, edges_target, seed, PRESET, 1, skew=skew)
+    pairs = [(u, w) for u, w, _ in net.edges]
+    distinct = set(pairs)
+    assert len(pairs) == len(distinct) == edges_target
+    assert all(u != w and (w, u) in distinct for u, w in pairs)
+    assert {u for u, _ in pairs} == set(range(n))        # every degree >= 1
+
+
 def test_json_round_trip_preserves_network(tmp_path):
     for net in (fixture_g1(), two_node_fixture(),
                 generate_power_law(30, 120, 5, parse_preset("f2:0.05,4"), 3)):
@@ -126,6 +220,34 @@ def test_json_round_trip_heterogeneous_activation(tmp_path):
     path = str(tmp_path / "net.json")
     save_network(net, path)
     assert load_network(path) == net
+
+
+def test_saved_bytes_match_the_pure_python_encoder(tmp_path):
+    # json.dumps (the C encoder) over one JSON object per law writes the
+    # bytes json.dump wrote with one object per edge; the two fixed laws
+    # are equal but print as 1 and 1.0
+    import dataclasses
+    g1 = fixture_g1()
+    laws = (g1.edges[0][2], PropagationDistribution((1,), (1.0,)),
+            PropagationDistribution((1.0,), (1.0,)))
+    hetero = dataclasses.replace(
+        g1, activation=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
+        edges=tuple((u, w, laws[k % 3]) for k, (u, w, _) in enumerate(g1.edges)))
+    generated = generate_power_law(60, 600, 4, parse_preset("f3:0.1,0.01"), 2)
+    for net in (hetero, generated):
+        doc = {"nodes": net.node_count, "budget": net.budget,
+               "activation": (net.activation[0]
+                              if len(set(net.activation)) == 1
+                              else list(net.activation)),
+               "edges": [{"src": u, "dst": w, "dist": _dist_to_json(d)}
+                         for u, w, d in net.edges]}
+        want = tmp_path / "want.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        got = tmp_path / "got.json"
+        save_network(net, str(got))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_load_network_errors(tmp_path):
