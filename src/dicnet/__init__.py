@@ -24,7 +24,7 @@ from .oracle import (AuxiliaryGraph, EnumerationGuard, ExactGainPolicy,
                      enumerate_schedules, exact_marginal_gain,
                      exact_policy_value, greedy_adaptive_value,
                      optimal_adaptive_value, realization_count)
-from .data import (PresetSpec, SchemaError, generate_power_law,
-                   load_edge_list, load_network, parse_preset, save_network)
+from .data import (PresetSpec, SchemaError, generate_power_law, load_network,
+                   parse_preset, save_network)
 from .fixtures import (chain_network, fixture_g1, star_network,
                        two_node_fixture)

@@ -1,9 +1,8 @@
 """Network ingestion, synthesis, and serialization.
 
-Covers whitespace edge-list files (with direction handling for datasets
-published as undirected or reversed pairs), a preferential-attachment
-power-law generator, propagation/activation presets, and a JSON format
-that round-trips DicNetwork exactly.
+Covers a preferential-attachment power-law generator,
+propagation/activation presets, and a JSON format that round-trips
+DicNetwork exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .model import (DicNetwork, PropagationDistribution, fixed_distribution,
 
 
 class SchemaError(ValueError):
-    """Malformed network file or edge list."""
+    """Malformed network file or preset."""
 
 
 def _json_number(x, kinds=(int, float)):
@@ -59,70 +58,6 @@ def parse_preset(text: str, activation: float = 0.5) -> PresetSpec:
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"bad preset {text!r}: {exc}") from None
     return PresetSpec(dist, activation)
-
-
-def _apply_preset(n: int, pairs, preset: PresetSpec, budget: int) -> DicNetwork:
-    edges = tuple((u, w, preset.distribution) for u, w in pairs)
-    net = DicNetwork(n, (preset.activation,) * n, edges, budget)
-    problem = validate_network(net)
-    if problem:
-        raise SchemaError(problem)
-    return net
-
-
-def load_edge_list(path: str, preset: PresetSpec, budget: int,
-                   directedness: str = "as-is") -> DicNetwork:
-    """Build a network from a `src dst` text file.
-
-    directedness: 'as-is' keeps lines as directed edges, 'reciprocate' adds
-    both directions per line, 'reverse' flips each edge.  Node ids are
-    remapped to a dense range in first-seen order; duplicates and self-loops
-    are dropped.
-    """
-    if directedness not in ("as-is", "reciprocate", "reverse"):
-        raise SchemaError(f"unknown directedness {directedness!r}")
-    remap: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def dense(raw: int) -> int:
-        if raw not in remap:
-            remap[raw] = len(remap)
-        return remap[raw]
-
-    def add(u: int, w: int):
-        if u != w and (u, w) not in seen:
-            seen.add((u, w))
-            pairs.append((u, w))
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected two integer "
-                                  f"tokens, got {line!r}")
-            try:
-                a, b = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-integer node id "
-                                  f"in {line!r}") from None
-            u, w = dense(a), dense(b)
-            if directedness == "as-is":
-                add(u, w)
-            elif directedness == "reciprocate":
-                add(u, w)
-                add(w, u)
-            else:
-                add(w, u)
-    if not remap:
-        raise SchemaError(f"{path}: no edges found")
-    n = len(remap)
-    if budget > n:
-        raise SchemaError(f"budget {budget} exceeds node count {n}")
-    return _apply_preset(n, pairs, preset, budget)
 
 
 def generate_power_law(n: int, edges_target: int, rng_seed: int,
@@ -190,8 +125,13 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
             weights[t] = 0.0                      # no duplicate pairs from one node
             degree[t] += 1.0
             degree[i] += 1.0
-    directed = [e for u, w in pairs for e in ((u, w), (w, u))]
-    return _apply_preset(n, directed, preset, budget)
+    law = preset.distribution
+    edges = tuple(e for u, w in pairs for e in ((u, w, law), (w, u, law)))
+    net = DicNetwork(n, (preset.activation,) * n, edges, budget)
+    problem = validate_network(net)
+    if problem:
+        raise SchemaError(problem)
+    return net
 
 
 def _dist_to_json(dist: PropagationDistribution) -> dict:

@@ -33,6 +33,7 @@ class DiffusionState:
     partial: PartialRealization
     frontier: set[int]
     budget_used: int
+    used: list[int]            # per node, attempts so far: its next bit's index
     _x: FullRealization = field(repr=False, default=None)
     # one row per round: (round, seeded, outcome bits, newly active)
     trace: list = field(default_factory=list)
@@ -53,7 +54,8 @@ def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
 
 def start(net: DicNetwork, x: FullRealization) -> DiffusionState:
     """Fresh state at round zero with the empty observation."""
-    return DiffusionState(net, empty_partial(net), set(), 0, x)
+    return DiffusionState(net, empty_partial(net), set(), 0,
+                          [0] * net.node_count, x)
 
 
 def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
@@ -65,8 +67,6 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     for v in cmd.nodes:
         if v in partial.active:
             raise InvalidCommand(f"node {v} is already active")
-        if partial.used[v] >= net.budget:
-            raise InvalidCommand(f"node {v} has no seeding attempts left")
     if state.budget_used + len(cmd.nodes) > net.budget:
         raise InvalidCommand("budget exceeded")
 
@@ -75,8 +75,8 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
     outcomes = []
     newly: set[int] = set()
     for v in seeded:
-        bit = x.seed_bits[v * net.budget + partial.used[v]]
-        partial.used[v] += 1
+        bit = x.seed_bits[v * net.budget + state.used[v]]
+        state.used[v] += 1
         outcomes.append(bit)
         if bit:
             newly.add(v)
@@ -116,7 +116,7 @@ def spread_count(net: DicNetwork, x: FullRealization, seed_plan) -> int:
     for v in seed_plan:
         mult[v] = mult.get(v, 0) + 1
     total = sum(mult.values())
-    if total > net.budget or any(m > net.budget for m in mult.values()):
+    if total > net.budget:
         raise InvalidCommand("seed plan exceeds budget")
     b = net.budget
     roots = [v for v, m in mult.items() if any(x.seed_bits[v * b:v * b + m])]

@@ -115,23 +115,25 @@ def exact_policy_value(net: DicNetwork, policy_factory) -> float:
 # ---------------------------------------------------------------------------
 # belief-state engine
 #
-# A belief captures everything future dynamics can depend on: the active set,
-# per-node consumed attempt counts, and the pending revealed draws on frontier
-# out-edges toward inactive targets (those get attempted next round).  Revealed
-# draws on edges toward already-active targets never matter again and are
-# marginalized out.  Spent edges are not recorded: only active nodes attempt
+# A belief (active, spent, pending) captures everything future dynamics can
+# depend on: the active set, the number of seeding attempts spent so far, and
+# the pending revealed draws on frontier out-edges toward inactive targets
+# (those get attempted next round).  Attempt bits are i.i.d., so how the spent
+# attempts fall on nodes says nothing about any next attempt and is not kept.
+# Revealed draws on edges toward already-active targets never matter again and
+# are marginalized out.  Spent edges are not recorded: only active nodes attempt
 # edges, and a node turning active was inactive until now, so none of its
 # out-edges is spent.
 # ---------------------------------------------------------------------------
 
 
 def _initial_belief(net: DicNetwork):
-    return (frozenset(), (0,) * net.node_count, ())
+    return (frozenset(), 0, ())
 
 
 def _round_branches(net: DicNetwork, belief, seeds):
     """All outcomes of one simultaneous round: list of (prob, belief)."""
-    active, consumed, pending = belief
+    active, spent, pending = belief
     # each seeding attempt and each pending edge attempt either hits its
     # node or misses (None)
     options = []
@@ -140,10 +142,7 @@ def _round_branches(net: DicNetwork, belief, seeds):
         options.append(((v, p), (None, 1.0 - p)))
     for eidx, value in pending:
         options.append(((net.edges[eidx][1], value), (None, 1.0 - value)))
-    new_consumed = list(consumed)
-    for v in seeds:
-        new_consumed[v] += 1
-    new_consumed = tuple(new_consumed)
+    new_spent = spent + len(seeds)
     out = []
     for combo in itertools.product(*options):
         prob = 1.0
@@ -171,7 +170,7 @@ def _round_branches(net: DicNetwork, belief, seeds):
                 rprob *= mass
             if rprob == 0.0:
                 continue
-            out.append((rprob, (new_active, new_consumed,
+            out.append((rprob, (new_active, new_spent,
                                 tuple(sorted(draw for draw, _ in reveal)))))
     return out
 
@@ -255,11 +254,11 @@ def _adaptive_moves(net: DicNetwork, greedy: bool):
     greedy."""
 
     def moves(belief, step):
-        active, consumed, pending = belief
+        active, spent, pending = belief
         if pending:
             return ((),), step              # wait for the cascade to settle
-        elig = _eligible_nodes(net, active, consumed)
-        if sum(consumed) >= net.budget or not elig:
+        elig = _eligible_nodes(net, active)
+        if spent >= net.budget or not elig:
             return None
         if greedy:
             return ((_exact_argmax(net, active, elig),),), step
@@ -273,11 +272,11 @@ def _pattern_moves(net: DicNetwork, schedule):
     schedule the cascade drains."""
 
     def moves(belief, i):
-        active, consumed, pending = belief
+        active, spent, pending = belief
         if i == len(schedule):
             return (((),), i) if pending else None
-        elig = _eligible_nodes(net, active, consumed)
-        k = min(schedule[i], len(elig), net.budget - sum(consumed))
+        elig = _eligible_nodes(net, active)
+        k = min(schedule[i], len(elig), net.budget - spent)
         return itertools.combinations(elig, k), i + 1
 
     return moves
@@ -310,7 +309,7 @@ class ExactGainPolicy:
     def decide(self, net, partial, remaining):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
-        elig = _eligible_nodes(net, partial.active, partial.used)
+        elig = _eligible_nodes(net, partial.active)
         if not elig:
             return None
         self.gain_evaluations += len(elig)
@@ -360,18 +359,12 @@ def check_properties(net: DicNetwork, trials: int, rng) -> dict:
     for _ in range(trials):
         x = sample_full(net, rng)
         size2 = int(rng.integers(0, b))          # leave room for v'
-        v2: list[int] = []
-        mult: dict[int, int] = {}
-        for _ in range(size2):
-            v = int(rng.integers(0, net.node_count))
-            if mult.get(v, 0) < b:
-                v2.append(v)
-                mult[v] = mult.get(v, 0) + 1
+        v2 = [int(rng.integers(0, net.node_count)) for _ in range(size2)]
         keep = rng.random(len(v2)) < 0.5
         v1 = [v for v, k in zip(v2, keep) if k]
         # the extra seed must be a node absent from V2 (and hence from V1):
         # only then do both sides consult the same first attempt bit
-        extra_candidates = [v for v in range(net.node_count) if v not in mult]
+        extra_candidates = [v for v in range(net.node_count) if v not in v2]
         if not extra_candidates:
             continue
         v_extra = int(rng.choice(extra_candidates))

@@ -4,7 +4,8 @@ A full realization fixes every random coordinate up front: per node a
 length-B vector of seeding-attempt outcome bits, consumed in order, and per
 edge the drawn propagation value and the single attempt's success bit.  A
 partial realization records only what the policies read of the observation;
-the simulator keeps the full realization private.
+the simulator keeps the full realization, and where each node's next attempt
+bit is read, private.
 """
 
 from __future__ import annotations
@@ -30,25 +31,23 @@ class FullRealization:
 @dataclass
 class PartialRealization:
     """Observable history as the policies read it: the active set, the
-    seeding attempts used per node, the edges already attempted, and whether
-    the observed cascade is quiescent (kept up to date by `step_round`).
-    The outcome of each round is in the state's trace."""
+    edges already attempted, and whether the observed cascade is quiescent
+    (kept up to date by `step_round`).  The outcome of each round is in the
+    state's trace."""
 
     active: set[int]
-    used: list[int]                              # per node, attempts so far
     resolved: set[int] = field(default_factory=set)
     round_index: int = 0
     quiescent: bool = True
 
     def copy(self) -> "PartialRealization":
-        return PartialRealization(set(self.active), list(self.used),
-                                  set(self.resolved), self.round_index,
-                                  self.quiescent)
+        return PartialRealization(set(self.active), set(self.resolved),
+                                  self.round_index, self.quiescent)
 
 
 def empty_partial(net: DicNetwork) -> PartialRealization:
     """The all-undetermined observation: nothing active, nothing attempted."""
-    return PartialRealization(set(), [0] * net.node_count)
+    return PartialRealization(set())
 
 
 def map_uniforms(net: DicNetwork, u: np.ndarray):

@@ -23,13 +23,13 @@ def observably_quiescent(net: DicNetwork, partial: PartialRealization) -> bool:
     return partial.quiescent
 
 
-def _eligible_nodes(net: DicNetwork, active, used, candidates=None):
-    """The nodes of `candidates` (all nodes when None), ascending, that are
-    inactive and have a seeding attempt left, `used[v]` being node v's spent
-    attempts: the observation's `used` or an oracle belief's counts."""
+def _eligible_nodes(net: DicNetwork, active, candidates=None):
+    """The inactive nodes of `candidates` (all nodes when None), ascending.
+    Attempt bits are i.i.d., so a node may be seeded again after any number
+    of failed attempts; the budget is the only limit, and `step_round`
+    keeps it."""
     pool = range(net.node_count) if candidates is None else sorted(candidates)
-    b = net.budget
-    return [v for v in pool if v not in active and used[v] < b]
+    return [v for v in pool if v not in active]
 
 
 class RandomPolicy:
@@ -41,7 +41,7 @@ class RandomPolicy:
         self.gain_evaluations = 0
 
     def decide(self, net, partial, remaining):
-        elig = _eligible_nodes(net, partial.active, partial.used)
+        elig = _eligible_nodes(net, partial.active)
         if not elig:
             return None
         picks = self.rng.choice(elig, size=1, replace=False)
@@ -264,8 +264,8 @@ class AGreedyPolicy:
     active set grows each candidate's estimated gain can only shrink, so
     cached gains are valid upper bounds and the lazy queue selects exactly
     the same node an exhaustive re-evaluation would.  Eligibility only
-    shrinks too (active sets and attempt counts only grow), so the queue is
-    filled once, at that first decision.
+    shrinks too (it is the inactive candidates, and the active set only
+    grows), so the queue is filled once, at that first decision.
     """
 
     def __init__(self, net: DicNetwork, replications: int, rng,
@@ -289,8 +289,7 @@ class AGreedyPolicy:
     def decide(self, net, partial, remaining):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
-        elig = _eligible_nodes(net, partial.active, partial.used,
-                               self.candidates)
+        elig = _eligible_nodes(net, partial.active, self.candidates)
         if not elig:
             return None
         active = partial.active

@@ -192,7 +192,7 @@ def run_with_checkpoints(net, policy, x, checkpoints=CHECKPOINTS):
 
     def record(c):
         clone = DiffusionState(net, state.partial.copy(), set(state.frontier),
-                               state.budget_used, x)
+                               state.budget_used, list(state.used), x)
         run_to_quiescence(clone)
         spreads[c] = len(clone.partial.active)
 

@@ -1,4 +1,4 @@
-"""Edge-list ingestion, the power-law generator, and JSON round-trips."""
+"""Presets, the power-law generator, and JSON round-trips."""
 
 import json
 
@@ -8,11 +8,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dicnet.data import (SchemaError, _dist_to_json, generate_power_law,
-                         load_edge_list, load_network, parse_preset,
-                         save_network)
+                         load_network, parse_preset, save_network)
 from dicnet.fixtures import fixture_g1, two_node_fixture
-from dicnet.model import (PropagationDistribution, mean_propagation,
-                          validate_network)
+from dicnet.model import PropagationDistribution, validate_network
 
 PRESET = parse_preset("f1:0.1")
 INF = float("inf")
@@ -31,46 +29,6 @@ def test_parse_preset_families():
                 "f2:inf,3", "f2:0.1,100000000000"):
         with pytest.raises(SchemaError):
             parse_preset(bad)
-
-
-def _write(tmp_path, text, name="edges.txt"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
-
-
-def test_load_edge_list_basics(tmp_path):
-    path = _write(tmp_path, "# comment\n10 20\n20 30\n\n10 20\n30 30\n")
-    net = load_edge_list(path, PRESET, budget=2)
-    # first-seen dense remap: 10->0, 20->1, 30->2; dup and self-loop dropped
-    assert net.node_count == 3
-    assert [(u, w) for u, w, _ in net.edges] == [(0, 1), (1, 2)]
-    assert net.budget == 2
-    assert validate_network(net) is None
-    assert all(mean_propagation(d) == pytest.approx(0.1)
-               for _, _, d in net.edges)
-
-
-def test_load_edge_list_directedness(tmp_path):
-    path = _write(tmp_path, "1 2\n2 3\n")
-    rec = load_edge_list(path, PRESET, 1, directedness="reciprocate")
-    assert sorted((u, w) for u, w, _ in rec.edges) == [(0, 1), (1, 0),
-                                                       (1, 2), (2, 1)]
-    rev = load_edge_list(path, PRESET, 1, directedness="reverse")
-    assert sorted((u, w) for u, w, _ in rev.edges) == [(1, 0), (2, 1)]
-    with pytest.raises(SchemaError):
-        load_edge_list(path, PRESET, 1, directedness="undirected")
-
-
-def test_load_edge_list_errors(tmp_path):
-    with pytest.raises(SchemaError, match=":2:"):
-        load_edge_list(_write(tmp_path, "1 2\n1 2 3\n"), PRESET, 1)
-    with pytest.raises(SchemaError, match=":1:"):
-        load_edge_list(_write(tmp_path, "a b\n"), PRESET, 1)
-    with pytest.raises(SchemaError, match="no edges"):
-        load_edge_list(_write(tmp_path, "# nothing\n"), PRESET, 1)
-    with pytest.raises(SchemaError, match="budget"):
-        load_edge_list(_write(tmp_path, "1 2\n"), PRESET, 5)
 
 
 def test_generator_determinism_and_exact_edge_count():

@@ -39,7 +39,7 @@ def test_full_chain_cascade_trace():
     assert s.partial.active == {0}
     assert s.frontier == {0}
     assert not s.partial.quiescent
-    assert s.partial.used[0] == 1
+    assert s.used[0] == 1
     for k in range(1, 6):
         step_round(s, EMPTY_COMMAND)
         assert s.partial.active == set(range(k + 1))
@@ -53,7 +53,7 @@ def test_failed_seed_is_observed_and_consumes_attempt():
     s = start(net, ALL_FAIL)
     step_round(s, SeedCommand(frozenset({2})))
     assert s.partial.active == set()
-    assert s.partial.used[2] == 1
+    assert s.used[2] == 1
     assert s.budget_used == 1
     assert s.partial.quiescent              # nothing is pending
 
@@ -102,8 +102,10 @@ def test_attempt_exhaustion_and_budget():
     step_round(s, SeedCommand(frozenset({1})))
     step_round(s, SeedCommand(frozenset({1})))
     step_round(s, SeedCommand(frozenset({1})))
-    assert s.budget_used == 3 and s.partial.used[1] == 3
-    with pytest.raises(InvalidCommand):     # per-node attempts exhausted
+    assert s.budget_used == 3 and s.used[1] == 3
+    # a fourth attempt on node 1 would read past its attempt vector; the
+    # budget, spent on its three failures, refuses it first
+    with pytest.raises(InvalidCommand, match="budget exceeded"):
         step_round(s, SeedCommand(frozenset({1})))
     s2 = start(net, ALL_FAIL)
     step_round(s2, SeedCommand(frozenset({0, 1})))

@@ -9,6 +9,7 @@ Key constants are frozen from hand calculations:
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicnet.diffusion import run_policy
+from dicnet.estimator import substream
 from dicnet.fixtures import (TWO_POINT, chain_network, fixture_g1,
                              random_tiny_network, star_network,
                              two_node_fixture)
@@ -184,6 +186,26 @@ def test_pattern_induction_agrees_with_simulator_static_seeds():
             for seeds in itertools.combinations(range(net.node_count),
                                                 net.budget))
         assert via_induction == pytest.approx(via_simulator, abs=1e-9)
+
+
+# sha256 of the value lines below; a change that moves any exact value, even
+# in its last bit, changes it
+_TINY_VALUES_SHA256 = (
+    "76266ee6fbdb957700e6a62ab031d0fb0371f56d768cd059ebf6315825b4bcb0")
+
+
+def test_exact_values_are_pinned_bit_for_bit():
+    # budgets up to 3, so nodes are re-seeded after failed attempts and
+    # every explicit schedule of up to four steps is solved
+    lines = []
+    for k in range(20):
+        net = random_tiny_network(substream(k, 0, 0), max_nodes=3, budget=3)
+        lines.append(repr(optimal_adaptive_value(net, "adaptive")))
+        for sched in enumerate_schedules(net.budget, 4):
+            lines.append(f"{sched}: {optimal_adaptive_value(net, sched)!r}")
+        lines.append(repr(greedy_adaptive_value(net)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _TINY_VALUES_SHA256
 
 
 def test_exact_gain_policy_runs():

@@ -38,7 +38,6 @@ def test_empty_partial_shape():
     net = fixture_g1()
     y = empty_partial(net)
     assert y.active == set()
-    assert y.used == [0] * 6
     assert y.resolved == set()
     assert y.round_index == 0
 
@@ -48,9 +47,8 @@ def test_partial_copy_is_deep():
     y = empty_partial(net)
     z = y.copy()
     z.active.add(0)
-    z.used[0] += 1
     z.resolved.add(0)
-    assert y.active == set() and y.used[0] == 0 and y.resolved == set()
+    assert y.active == set() and y.resolved == set()
 
 
 def test_sample_full_shapes_and_determinism():

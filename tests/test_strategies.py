@@ -397,10 +397,10 @@ def test_lazy_queues_match_exhaustive_argmax(seed):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_runs_keep_limits_and_ignore_unobserved_coordinates(seed):
-    # the driver alone keeps a policy within the budget and each node within
-    # its attempt limit; and a run reads only what it observed, so redrawing
-    # the seed bits past those it used and every edge out of a node it
-    # never activated leaves the whole run unchanged
+    # run_policy alone keeps a policy within the budget, and so each node
+    # within its attempt vector; and a run reads only what it observed, so
+    # redrawing the seed bits past those it used and every edge out of a
+    # node it never activated leaves the whole run unchanged
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
     x, y = sample_full(net, rng), sample_full(net, rng)
