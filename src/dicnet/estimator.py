@@ -11,6 +11,7 @@ import functools
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -196,25 +197,31 @@ def _usable_cpus() -> int:
 
 
 def _map_chunks(chunk_fn, net: DicNetwork, arg, master_seed: int,
-                replications: int, workers: int) -> list:
-    """`chunk_fn(net, arg, master_seed, start, stop)` over chunks of
-    [0, replications), serially or on `workers` processes; the per-chunk
-    results come back in replication order.  The chunks depend on `workers`
-    alone; the pool has no more processes than chunks or usable CPUs."""
+                replications: int, workers: int):
+    """Yields `chunk_fn(net, arg, master_seed, start, stop)` over chunks of
+    [0, replications) in replication order: serially in chunks of at most
+    `BLOCK_ROWS` replications, or on `workers` processes.  A caller that
+    reduces each result as it arrives holds one chunk at a time.  The chunks
+    depend on `workers` alone; the pool has no more processes than chunks
+    or usable CPUs."""
     # replication indices must stay below INDEX_LIMIT so that every
     # replication gets its own streams
     if not 1 <= replications <= INDEX_LIMIT:
         raise ValueError(f"replications must be in [1, 2**56], got {replications}")
     if workers <= 1:
-        return [chunk_fn(net, arg, master_seed, 0, replications)]
+        for s in range(0, replications, BLOCK_ROWS):
+            yield chunk_fn(net, arg, master_seed, s,
+                           min(s + BLOCK_ROWS, replications))
+        return
     chunk = max(1, -(-replications // (workers * 4)))
     starts = range(0, replications, chunk)
     size = min(workers, len(starts), _usable_cpus())
     with ProcessPoolExecutor(max_workers=size) as pool:
-        futures = [pool.submit(chunk_fn, net, arg, master_seed,
-                               s, min(s + chunk, replications))
-                   for s in starts]
-        return [f.result() for f in futures]   # submission order
+        futures = deque(pool.submit(chunk_fn, net, arg, master_seed,
+                                    s, min(s + chunk, replications))
+                        for s in starts)
+        while futures:                  # submission order; drop each once read
+            yield futures.popleft().result()
 
 
 def run_replications(net: DicNetwork, policy_factory, replications: int,
@@ -224,9 +231,9 @@ def run_replications(net: DicNetwork, policy_factory, replications: int,
     `policy_factory(rng) -> policy` must be picklable when workers > 1
     (a module-level function or class, or functools.partial of one).
     """
-    chunks = _map_chunks(_run_chunk, net, policy_factory, master_seed,
-                         replications, workers)
-    return [row for rows in chunks for row in rows]
+    return [row for rows in _map_chunks(_run_chunk, net, policy_factory,
+                                        master_seed, replications, workers)
+            for row in rows]
 
 
 def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
@@ -238,9 +245,10 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
     if seeds is not None:
         total = sum(_map_chunks(_static_spread_total, net, seeds, master_seed,
                                 replications, workers))
-    else:
-        total = sum(r.spread for r in run_replications(
-            net, policy_factory, replications, master_seed, workers))
+    else:                        # one chunk of results alive at a time
+        total = sum(sum(r.spread for r in rows)
+                    for rows in _map_chunks(_run_chunk, net, policy_factory,
+                                            master_seed, replications, workers))
     return Estimate(total / replications, replications,
                     half_width(net.node_count, replications, delta),
                     master_seed)

@@ -269,14 +269,15 @@ def _adaptive_moves(net: DicNetwork, greedy: bool):
 
 def _pattern_moves(net: DicNetwork, schedule):
     """Step i seeds schedule[i] nodes (as many as are left); after the
-    schedule the cascade drains."""
+    schedule the cascade drains.  The schedule's sum is within the budget,
+    so no step reads how much is spent."""
 
     def moves(belief, i):
-        active, spent, pending = belief
+        active, _, pending = belief
         if i == len(schedule):
             return (((),), i) if pending else None
         elig = _eligible_nodes(net, active)
-        k = min(schedule[i], len(elig), net.budget - spent)
+        k = min(schedule[i], len(elig))
         return itertools.combinations(elig, k), i + 1
 
     return moves

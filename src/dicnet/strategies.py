@@ -75,12 +75,13 @@ def static_seed_factory(seeds, rng):
 # live-edge world engine
 #
 # A world is one draw of every edge's single attempt, each edge live with its
-# mean propagation probability, stored as {source: [target, ...]} over the
-# live edges.  Every greedy strategy scores candidates by how many nodes they
+# mean propagation probability, stored as {source: (target, ...)} over the
+# live edges.  Worlds are read-only: their node ints and one-target tuples are
+# shared.  Every greedy strategy scores candidates by how many nodes they
 # reach in a shared batch of worlds (common random numbers).
 # ---------------------------------------------------------------------------
 
-_LIVE_EDGE_SLICE = 4096     # live edges turned into Python ints at a time
+_LIVE_EDGE_SLICE = 4096     # live edges sorted into worlds at a time
 _DRAW_BYTES = 1 << 20       # uniforms static greedy draws at a time
 
 
@@ -104,30 +105,76 @@ def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _add_live_edges(worlds, net: DicNetwork, rows, edges):
-    """Append live edge `edges[i]` to world `rows[i]`, in order.  Converts a
-    slice at a time so the Python-int copies never span the whole draw."""
+def _worlds_from_live(net: DicNetwork, pieces, replications: int) -> list[dict]:
+    """`replications` worlds from live (rows, edges) array pairs, each with
+    ascending rows: edge `edges[i]` is live in world `rows[i]`.
+
+    World r is {source: tuple of targets}, each source's targets in piece
+    order and in order within a piece.  Every node is one shared int and
+    every single-target source maps to one shared 1-tuple, so a world costs
+    a dict entry per source and a tuple per source with several targets.
+    The live pairs are stable-sorted by (row, source) one slice of whole
+    worlds, about `_LIVE_EDGE_SLICE` live edges, at a time.
+    """
+    n = net.node_count
     src, dst, _ = net.edge_arrays
-    for lo in range(0, len(rows), _LIVE_EDGE_SLICE):
-        part = edges[lo:lo + _LIVE_EDGE_SLICE]
-        for r, u, w in zip(rows[lo:lo + _LIVE_EDGE_SLICE].tolist(),
-                           src[part].tolist(), dst[part].tolist()):
-            worlds[r].setdefault(u, []).append(w)
+    ids = np.empty(n, dtype=object)
+    ids[:] = range(n)
+    ones = [(v,) for v in ids]
+    worlds: list[dict] = [{} for _ in range(replications)]
+    pieces = [piece for piece in pieces if len(piece[0])]
+    if not pieces:
+        return worlds
+    if len(pieces) == 1:         # used as drawn: no copy of the whole draw
+        (rows, edges), = pieces
+    else:                        # merge the pieces' ascending runs of rows
+        rows = np.concatenate([r for r, _ in pieces])
+        edges = np.concatenate([e for _, e in pieces])
+        order = np.argsort(rows, kind="stable")
+        rows, edges = rows[order], edges[order]
+    del pieces
+    step = max(1, replications * _LIVE_EDGE_SLICE // len(rows))
+    cuts = rows.searchsorted(range(0, replications + step, step)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:
+            continue
+        first = int(rows[lo])
+        part = edges[lo:hi]
+        key = (rows[lo:hi] - first) * n + src[part]
+        # sort the keys as the smallest unsigned type that holds them: numpy's
+        # stable sort is a radix sort for keys of up to 16 bits
+        order = np.argsort(key.astype(np.min_scalar_type(key.max())),
+                           kind="stable")
+        key = key[order]
+        targets = ids[dst[part[order]]].tolist()
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        bounds = heads.tolist()
+        bounds.append(len(key))
+        world, source = np.divmod(key[heads], n)
+        for r, u, i, j in zip((world + first).tolist(), ids[source].tolist(),
+                              bounds, bounds[1:]):
+            worlds[r][u] = (ones[targets[i]] if j - i == 1
+                            else tuple(targets[i:j]))
+    return worlds
 
 
 def sample_worlds(net: DicNetwork, replications: int, rng) -> list[dict]:
     """`replications` live-edge worlds, drawn sparsely: one Bernoulli grid
     per distinct edge mean, on a Philox stream keyed by one draw from rng."""
     seed = int(rng.integers(0, 2 ** 63))
-    worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
     gen = np.random.Generator(np.random.Philox(key=seed))
     means = net.edge_arrays[2]
-    for p in np.unique(means):
-        group = np.flatnonzero(means == p)
-        g = len(group)
-        positions = _bernoulli_positions(gen, replications * g, float(p))
-        _add_live_edges(worlds, net, positions // g, group[positions % g])
-    return worlds
+
+    def live():                  # one (rows, edges) piece per law group
+        for p in np.unique(means):
+            group = np.flatnonzero(means == p)
+            g = len(group)
+            rows, edges = np.divmod(
+                _bernoulli_positions(gen, replications * g, float(p)), g)
+            edges = group[edges]
+            yield rows, edges
+
+    return _worlds_from_live(net, live(), replications)
 
 
 def _reach(adj, v: int, excluded) -> set[int]:
@@ -364,10 +411,12 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     seeded all at once.  Returns (ordered seed list, gain evaluation count).
     """
     n = net.node_count
-    worlds: list[dict[int, list[int]]] = [{} for _ in range(replications)]
+    pieces = []
     for lo, live in _draw_below(rng, replications, net.edge_arrays[2]):
         rows, edges = np.nonzero(live)
-        _add_live_edges(worlds, net, rows + lo, edges)
+        pieces.append((rows + lo, edges))
+    worlds = _worlds_from_live(net, pieces, replications)
+    del pieces
     success = np.empty((replications, n), dtype=bool)
     for lo, block in _draw_below(rng, replications, np.array(net.activation)):
         success[lo:lo + len(block)] = block

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -268,3 +269,22 @@ def test_static_spread_sum_on_a_generated_net(monkeypatch):
                                                   master_seed=11)]
     assert max(spreads) > 5
     assert _static_spread_total(net, seeds, 11, 4, 30) == sum(spreads[4:])
+
+
+def test_driven_estimate_holds_one_chunk_of_results(monkeypatch):
+    # a driven estimate sums each chunk's spreads as the chunk arrives, so
+    # its traced peak does not grow with the replication count: 4x the
+    # replications, in chunks of 50, raise it by at most 20%
+    monkeypatch.setattr(dicnet.estimator, "BLOCK_ROWS", 50)
+    net = two_node_fixture()
+    estimate_policy_spread(net, RandomPolicy, 100, master_seed=5)
+    peaks = []
+    for replications in (1000, 4000):
+        tracemalloc.start()
+        try:
+            estimate_policy_spread(net, RandomPolicy, replications,
+                                   master_seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks

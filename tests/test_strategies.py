@@ -19,8 +19,9 @@ from dicnet.model import DicNetwork, fixed_distribution
 from dicnet.oracle import exact_marginal_gain
 from dicnet.realization import FullRealization, empty_partial, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
-                               StaticSeedListPolicy, _add_live_edges,
-                               _bernoulli_positions, _reach, h_greedy_prune,
+                               StaticSeedListPolicy, _bernoulli_positions,
+                               _draw_below, _reach, _worlds_from_live,
+                               h_greedy_prune,
                                reach_totals, sample_worlds,
                                static_greedy_select, world_gain)
 
@@ -118,6 +119,139 @@ def test_sample_worlds_is_deterministic_and_sparse():
     live = sum(len(ws) for ws in lists)
     assert abs(live - 750) < 4 * np.sqrt(2500 * 0.3 * 0.7)
     assert sample_worlds(_edgeless(3, 1.0, 1), 4, np.random.default_rng(0)) == [{}] * 4
+
+
+def _appended_worlds(net, pieces, replications):
+    """The per-edge builder the sorted one replaced, frozen as a reference:
+    live edge `edges[i]` appended to world `rows[i]`'s list for its source,
+    piece after piece."""
+    src, dst, _ = net.edge_arrays
+    worlds = [{} for _ in range(replications)]
+    for rows, edges in pieces:
+        for r, u, w in zip(rows.tolist(), src[edges].tolist(),
+                           dst[edges].tolist()):
+            worlds[r].setdefault(u, []).append(w)
+    return worlds
+
+
+def _reference_sample_worlds(net, replications, rng):
+    """`sample_worlds`' draws, one piece per distinct edge mean, built by the
+    per-edge reference."""
+    gen = np.random.Generator(np.random.Philox(key=int(rng.integers(0, 2 ** 63))))
+    means = net.edge_arrays[2]
+    pieces = []
+    for p in np.unique(means):
+        group = np.flatnonzero(means == p)
+        g = len(group)
+        positions = _bernoulli_positions(gen, replications * g, float(p))
+        pieces.append((positions // g, group[positions % g]))
+    return _appended_worlds(net, pieces, replications)
+
+
+def _reference_static_worlds(net, replications, rng):
+    """`static_greedy_select`'s draws, one piece per block, built by the
+    per-edge reference."""
+    pieces = []
+    for lo, live in _draw_below(rng, replications, net.edge_arrays[2]):
+        rows, edges = np.nonzero(live)
+        pieces.append((rows + lo, edges))
+    return _appended_worlds(net, pieces, replications)
+
+
+def _static_greedy_worlds(net, replications, rng):
+    """The worlds `static_greedy_select` builds from rng."""
+    built = []
+    build = dicnet.strategies._worlds_from_live
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    with mock.patch.object(dicnet.strategies, "_worlds_from_live", keep):
+        static_greedy_select(net, 1, replications, rng)
+    return built[0]
+
+
+def _as_lists(worlds):
+    assert all(type(ts) is tuple for adj in worlds for ts in adj.values())
+    return [{u: list(ts) for u, ts in adj.items()} for adj in worlds]
+
+
+_MIXED_LAWS = (parse_preset("f3:0.1,0.01,0.001").distribution,
+               fixed_distribution(0.02), fixed_distribution(0.3),
+               fixed_distribution(1.0))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+def test_world_builder_matches_the_per_edge_reference(seed, slice_edges):
+    # both samplers' worlds equal the frozen per-edge builder's, with each
+    # source's targets in the same order, on nets whose edges mix an f3
+    # preset's law with per-edge laws of other means (several law groups),
+    # on edgeless nets, and on sparse draws that leave worlds empty between
+    # non-empty ones and at the end; small slices cut the sort into many
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    edges = tuple((u, v, _MIXED_LAWS[int(rng.integers(len(_MIXED_LAWS)))])
+                  for u in range(n) for v in range(n)
+                  if u != v and rng.random() < 0.5)
+    net = DicNetwork(n, (0.5,) * n, edges, 1)
+    replications = int(rng.integers(1, 30))
+    with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE", slice_edges):
+        assert (_as_lists(sample_worlds(net, replications,
+                                        np.random.default_rng(seed)))
+                == _reference_sample_worlds(net, replications,
+                                            np.random.default_rng(seed)))
+        assert (_as_lists(_static_greedy_worlds(net, replications,
+                                                np.random.default_rng(seed)))
+                == _reference_static_worlds(net, replications,
+                                            np.random.default_rng(seed)))
+
+
+def test_world_builder_keeps_piece_order_across_empty_worlds():
+    # two pieces whose rows interleave, with a source hit by both in world
+    # 2: its targets keep piece order, not edge order; worlds 1, 4 and 5
+    # stay empty
+    net = DicNetwork(4, (0.5,) * 4, tuple(
+        (u, v, fixed_distribution(0.5)) for u, v in
+        ((0, 1), (0, 2), (0, 3), (2, 1), (3, 0))), 1)
+    pieces = [(np.array([0, 2, 2, 3]), np.array([1, 2, 4, 3])),
+              (np.array([0, 2, 3]), np.array([3, 0, 4]))]
+    for slice_edges in (1, 2, 4096):
+        with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE",
+                               slice_edges):
+            worlds = _worlds_from_live(net, pieces, 6)
+        assert _as_lists(worlds) == _appended_worlds(net, pieces, 6)
+        assert worlds[2] == {0: (3, 1), 3: (0,)} and worlds[1] == {}
+        assert worlds[4] == worlds[5] == {}
+    assert _worlds_from_live(net, [], 3) == [{}, {}, {}]
+
+
+def test_world_builder_sorts_keys_wider_than_16_bits():
+    # one slice of 300 worlds of 300 nodes: its (world, source) keys pass
+    # 2**16, so they sort as 32-bit keys, not by radix
+    net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 1)
+    with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE", 1 << 20):
+        worlds = sample_worlds(net, 300, np.random.default_rng(6))
+    assert _as_lists(worlds) == _reference_sample_worlds(
+        net, 300, np.random.default_rng(6))
+
+
+def test_worlds_share_node_ints_and_one_target_tuples():
+    # nodes above 256, so no id is one of CPython's cached small ints: every
+    # source and target is the same int object wherever it appears, and
+    # every single-target source maps to the same 1-tuple for its target
+    net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 1)
+    for worlds in (sample_worlds(net, 40, np.random.default_rng(3)),
+                   _static_greedy_worlds(net, 40, np.random.default_rng(4))):
+        nodes, ones = {}, {}
+        for adj in worlds:
+            for u, targets in adj.items():
+                for v in (u, *targets):
+                    assert nodes.setdefault(v, v) is v
+                if len(targets) == 1:
+                    assert ones.setdefault(targets, targets) is targets
+        assert max(nodes) > 256 and len(ones) > 100
 
 
 def test_reach_stops_at_excluded_nodes():
@@ -316,8 +450,7 @@ def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
     live = rng.random((replications, len(net.edges))) < net.edge_arrays[2]
     success = (rng.random((replications, net.node_count))
                < np.array(net.activation))
-    static_worlds = [{} for _ in range(replications)]
-    _add_live_edges(static_worlds, net, *np.nonzero(live))
+    static_worlds = _worlds_from_live(net, [np.nonzero(live)], replications)
     totals = reach_totals(net, static_worlds, (), weight=success)
     for v in range(net.node_count):
         evaluate = sum(len(_reach(static_worlds[r], v, set()))
