@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .model import (DicNetwork, PropagationDistribution, fixed_distribution,
                     mean_propagation, quantize_exponential,
                     uniform_discrete_distribution, validate_network)
-from .realization import (FullRealization, PartialRealization, empty_partial,
-                          probability_of, sample_full)
+from .realization import (FullRealization, PartialRealization, probability_of,
+                          sample_full)
 from .diffusion import (EMPTY_COMMAND, DiffusionState, InvalidCommand,
                         PolicyRun, SeedCommand, run_policy, run_to_quiescence,
                         spread_count, start, step_round)

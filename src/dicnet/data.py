@@ -93,23 +93,15 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     extra = pair_target - (n - 1)
     stubs = 1 + np.floor(raw * extra / raw.sum()).astype(int)
     stubs = np.minimum(stubs, np.arange(1, n))   # node i has only i predecessors
+    # the floors undershoot the target and the caps sum to max_pairs, so one
+    # pass, highest weight first, raises stubs up to their caps to close it
     diff = pair_target - int(stubs.sum())
-    order = np.argsort(-raw, kind="stable")      # highest weight first
-    idx = 0
-    while diff != 0:
-        j = order[idx % len(order)]
-        cap = j + 1
-        if diff > 0 and stubs[j] < cap:
-            room = min(diff, cap - stubs[j])
-            stubs[j] += room
-            diff -= room
-        elif diff < 0 and stubs[j] > 1:
-            room = min(-diff, stubs[j] - 1)
-            stubs[j] -= room
-            diff += room
-        idx += 1
-        if idx > 10 * len(order):
-            raise ValueError("could not balance stub counts to the target")
+    for j in np.argsort(-raw, kind="stable").tolist():
+        if not diff:
+            break
+        room = min(diff, j + 1 - int(stubs[j]))
+        stubs[j] += room
+        diff -= room
     degree = np.zeros(n)
     degree[0] = 1.0                               # seed weight for the first pick
     pairs: list[tuple[int, int]] = []

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .model import DicNetwork
-from .realization import FullRealization, PartialRealization, empty_partial
+from .realization import FullRealization, PartialRealization
 
 
 class InvalidCommand(ValueError):
@@ -54,7 +54,7 @@ def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
 
 def start(net: DicNetwork, x: FullRealization) -> DiffusionState:
     """Fresh state at round zero with the empty observation."""
-    return DiffusionState(net, empty_partial(net), set(), 0,
+    return DiffusionState(net, PartialRealization(), set(), 0,
                           [0] * net.node_count, x)
 
 
@@ -143,12 +143,12 @@ class PolicyRun:
 def run_policy(net: DicNetwork, policy, x: FullRealization) -> PolicyRun:
     """Drive the cascade with a policy until budget exhaustion and quiescence.
 
-    The policy sees only the partial realization.  It returns a SeedCommand
-    (possibly empty while the cascade is still running) or None to stop.
+    `policy.decide(net, partial)` sees only the partial realization.  It
+    returns a SeedCommand (empty while the cascade runs) or None to stop.
     """
     state = start(net, x)
     while state.budget_used < net.budget:
-        cmd = policy.decide(net, state.partial, net.budget - state.budget_used)
+        cmd = policy.decide(net, state.partial)
         if cmd is None:
             break
         step_round(state, cmd)

@@ -307,7 +307,7 @@ class ExactGainPolicy:
         self.gain_evaluations = 0
         self.selections: list[int] = []
 
-    def decide(self, net, partial, remaining):
+    def decide(self, net, partial):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
         elig = _eligible_nodes(net, partial.active)

@@ -35,19 +35,10 @@ class PartialRealization:
     (kept up to date by `step_round`).  The outcome of each round is in the
     state's trace."""
 
-    active: set[int]
+    active: set[int] = field(default_factory=set)
     resolved: set[int] = field(default_factory=set)
     round_index: int = 0
     quiescent: bool = True
-
-    def copy(self) -> "PartialRealization":
-        return PartialRealization(set(self.active), set(self.resolved),
-                                  self.round_index, self.quiescent)
-
-
-def empty_partial(net: DicNetwork) -> PartialRealization:
-    """The all-undetermined observation: nothing active, nothing attempted."""
-    return PartialRealization(set())
 
 
 def map_uniforms(net: DicNetwork, u: np.ndarray):

@@ -1,9 +1,12 @@
 """The four shipped strategies.
 
-Policies are small state machines confined to a single run: `decide` receives
-the network, the observable partial realization, and the remaining budget,
-and returns a SeedCommand (empty = wait a round) or None to stop.  The driver
-calls `decide` only while budget remains, so no policy checks for it.
+Policies are small state machines confined to a single run:
+`decide(net, partial)` receives the network and the observable partial
+realization, and returns a SeedCommand (empty = wait a round) or None to
+stop.  `run_policy` calls `decide` only while budget remains and keeps the
+budget itself; only the static list reads it, as `net.budget`.  So a run's
+decisions never depend on the budget left, and the drained spread after its
+first c seeds is `spread_count(net, x, run.seeds[:c])`.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ class RandomPolicy:
 
     def __init__(self, rng):
         self.rng = rng
-        self.gain_evaluations = 0
 
-    def decide(self, net, partial, remaining):
+    def decide(self, net, partial):
         elig = _eligible_nodes(net, partial.active)
         if not elig:
             return None
@@ -54,13 +56,12 @@ class StaticSeedListPolicy:
     def __init__(self, seeds):
         self.seeds = tuple(seeds)
         self.done = False
-        self.gain_evaluations = 0
 
-    def decide(self, net, partial, remaining):
+    def decide(self, net, partial):
         if self.done:
             return None
         self.done = True
-        take = self.seeds[:remaining]
+        take = self.seeds[:net.budget]
         if not take:
             return None
         return SeedCommand(frozenset(take))
@@ -333,7 +334,7 @@ class AGreedyPolicy:
         self.gain_evaluations += 1
         return world_gain(self.net, self._worlds, v, active)
 
-    def decide(self, net, partial, remaining):
+    def decide(self, net, partial):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
         elig = _eligible_nodes(net, partial.active, self.candidates)

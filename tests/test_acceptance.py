@@ -14,7 +14,7 @@ import pytest
 
 from dicnet.cli import main as cli_main
 from dicnet.data import generate_power_law, parse_preset
-from dicnet.diffusion import DiffusionState, run_to_quiescence, spread_count, start, step_round
+from dicnet.diffusion import run_policy, spread_count
 from dicnet.estimator import estimate_policy_spread, half_width, substream
 from dicnet.fixtures import TWO_POINT, fixture_g1, random_tiny_network, two_node_fixture
 from dicnet.model import DicNetwork, fixed_distribution
@@ -164,7 +164,6 @@ def test_criterion_5_celf_equivalence():
         x = sample_full(net, substream(50 + t, 0, 0))
         lazy = AGreedyPolicy(net, 200, substream(50 + t, 0, 1), celf=True)
         full = AGreedyPolicy(net, 200, substream(50 + t, 0, 1), celf=False)
-        from dicnet.diffusion import run_policy
         run_policy(net, lazy, x)
         run_policy(net, full, x)
         if lazy.selections == full.selections:
@@ -184,35 +183,6 @@ def test_criterion_5_celf_equivalence():
 CHECKPOINTS = (10, 20, 30)
 
 
-def run_with_checkpoints(net, policy, x, checkpoints=CHECKPOINTS):
-    """Play one policy run, recording the drained spread at intermediate
-    budget checkpoints by running a cloned state to quiescence."""
-    state = start(net, x)
-    spreads = {}
-
-    def record(c):
-        clone = DiffusionState(net, state.partial.copy(), set(state.frontier),
-                               state.budget_used, list(state.used), x)
-        run_to_quiescence(clone)
-        spreads[c] = len(clone.partial.active)
-
-    while True:
-        for c in checkpoints:
-            if c not in spreads and state.budget_used >= c:
-                record(c)
-        if state.budget_used >= net.budget:
-            break
-        cmd = policy.decide(net, state.partial, net.budget - state.budget_used)
-        if cmd is None:
-            break
-        step_round(state, cmd)
-    run_to_quiescence(state)
-    for c in checkpoints:
-        if c not in spreads:
-            spreads[c] = len(state.partial.active)
-    return spreads
-
-
 def _ci95(values):
     arr = np.asarray(values, dtype=float)
     hw = 1.96 * arr.std(ddof=1) / math.sqrt(len(arr))
@@ -224,33 +194,28 @@ def powerlaw_sweep():
     seed, reps, r_gain, r_pre, r_select = 2, 200, 100, 300, 400
     preset = parse_preset("f1:0.01", 0.5)
     net = generate_power_law(2500, 26000, seed, preset, budget=30)
-    candidates, prune_stats = h_greedy_prune(net, r_pre,
-                                             substream(seed, 0, 11))
+    candidates, _ = h_greedy_prune(net, r_pre, substream(seed, 0, 11))
     greedy_seeds, _ = static_greedy_select(net, 30, r_select,
                                            substream(seed, 0, 10))
     res = {s: {c: [] for c in CHECKPOINTS} for s in ("a", "h", "g", "r")}
-    evals = {"a": 0, "h": 0}
     for i in range(reps):
         x = sample_full(net, substream(seed, i, 0))
-        pa = AGreedyPolicy(net, r_gain, substream(seed, i, 1))
-        for c, v in run_with_checkpoints(net, pa, x).items():
-            res["a"][c].append(v)
-        evals["a"] += pa.gain_evaluations
-        ph = AGreedyPolicy(net, r_gain, substream(seed, i, 1),
-                           candidates=candidates)
-        for c, v in run_with_checkpoints(net, ph, x).items():
-            res["h"][c].append(v)
-        evals["h"] += ph.gain_evaluations
-        for c in CHECKPOINTS:
-            res["g"][c].append(spread_count(net, x, greedy_seeds[:c]))
-        pr = RandomPolicy(substream(seed, i, 2))
-        for c, v in run_with_checkpoints(net, pr, x).items():
-            res["r"][c].append(v)
-    return {"res": res, "evals": evals, "prune_stats": prune_stats}
+        # the drained spread after a run's first c seeds is the spread of
+        # those c seeds, so one run per policy serves every checkpoint
+        policies = {"a": AGreedyPolicy(net, r_gain, substream(seed, i, 1)),
+                    "h": AGreedyPolicy(net, r_gain, substream(seed, i, 1),
+                                       candidates=candidates),
+                    "r": RandomPolicy(substream(seed, i, 2))}
+        plans = {s: run_policy(net, p, x).seeds for s, p in policies.items()}
+        plans["g"] = greedy_seeds
+        for s, plan in plans.items():
+            for c in CHECKPOINTS:
+                res[s][c].append(spread_count(net, x, plan[:c]))
+    return res
 
 
 def test_criterion_6_strategy_ordering(powerlaw_sweep):
-    res = powerlaw_sweep["res"]
+    res = powerlaw_sweep
     ok = True
     details = []
     for c in CHECKPOINTS:
@@ -284,7 +249,6 @@ def test_criterion_7_pruning_economics():
     spreads = {"a": [], "h": []}
     # H-Greedy pays for its own prepass: one estimate per node
     evals = {"a": 0, "h": net.node_count}
-    from dicnet.diffusion import run_policy
     for i in range(reps):
         x = sample_full(net, substream(seed, i, 0))
         pa = AGreedyPolicy(net, r_gain, substream(seed, i, 1))

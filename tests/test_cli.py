@@ -136,6 +136,12 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert main(["oracle", "exact-value", "--fixture", "two-node",
                      "--budgets", "1", "--policy", "static:0",
                      "--preset", preset]) == 2
+    # argparse checks a typed --fixture, not one from --config
+    cfg = tmp_path / "fixture.json"
+    cfg.write_text(json.dumps({"fixture": "nope"}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: unknown fixture 'nope'\n"
     assert not (tmp_path / "r.csv").exists()       # failed runs leave no file
 
 

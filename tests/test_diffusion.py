@@ -1,13 +1,16 @@
 """Round semantics, command validation, and live-edge spread counting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicnet.diffusion import (EMPTY_COMMAND, InvalidCommand, SeedCommand,
                               run_policy, run_to_quiescence, spread_count,
                               start, step_round)
-from dicnet.fixtures import fixture_g1
-from dicnet.realization import FullRealization
-from dicnet.strategies import StaticSeedListPolicy
+from dicnet.fixtures import fixture_g1, random_tiny_network
+from dicnet.realization import FullRealization, sample_full
+from dicnet.strategies import AGreedyPolicy, RandomPolicy, StaticSeedListPolicy
 
 
 def _g1_realization(seed_bits, edge_bits, values=None):
@@ -140,9 +143,7 @@ def test_policy_sees_only_the_partial_observation():
     observed = []
 
     class Probe:
-        gain_evaluations = 0
-
-        def decide(self, net, partial, remaining):
+        def decide(self, net, partial):
             observed.append(partial)
             if len(observed) == 1:
                 return SeedCommand(frozenset({0}))
@@ -175,12 +176,11 @@ def test_run_policy_matches_spread_count():
 
 class _Script:
     """Plays a fixed list of commands, then stops."""
-    gain_evaluations = 0
 
     def __init__(self, commands):
         self.commands = list(commands)
 
-    def decide(self, net, partial, remaining):
+    def decide(self, net, partial):
         return self.commands.pop(0) if self.commands else None
 
 
@@ -203,3 +203,26 @@ def test_step_round_records_the_trace_run_policy_returns():
     assert run.seeds == tuple(v for _, seeded, _, _ in s.trace
                               for v in seeded) == (0, 3, 5)
     assert run.rounds == 5 and run.spread == len(s.partial.active) == 5
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_drained_spread_after_c_seeds_is_spread_count_of_the_prefix(seed):
+    # each edge gets one attempt, so stopping a run after its c-th seed and
+    # draining it reaches the live-edge closure of those c seeding attempts:
+    # one run gives every budget checkpoint, as criterion 6 reads them
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    x = sample_full(net, rng)
+    for policy in (RandomPolicy(rng), AGreedyPolicy(net, 30, rng)):
+        run = run_policy(net, policy, x)
+        for c in range(net.budget + 1):
+            commands, played = [], 0
+            for _, seeded, _, _ in run.trace:
+                if played >= c:
+                    break
+                commands.append(SeedCommand(frozenset(seeded)))
+                played += len(seeded)
+            prefix = run_policy(net, _Script(commands), x)
+            assert prefix.seeds == run.seeds[:c]
+            assert prefix.spread == spread_count(net, x, run.seeds[:c])

@@ -13,8 +13,8 @@ from dicnet.fixtures import (TWO_POINT, fixture_g1, random_tiny_network,
                              two_node_fixture)
 from dicnet.model import (DicNetwork, fixed_distribution,
                           quantize_exponential)
-from dicnet.realization import (FullRealization, empty_partial, probability_of,
-                                sample_full)
+from dicnet.realization import (FullRealization, PartialRealization,
+                                probability_of, sample_full)
 
 
 def _sample_full_reference(net, rng):
@@ -35,20 +35,11 @@ def _sample_full_reference(net, rng):
 
 
 def test_empty_partial_shape():
-    net = fixture_g1()
-    y = empty_partial(net)
+    y = PartialRealization()
     assert y.active == set()
     assert y.resolved == set()
     assert y.round_index == 0
-
-
-def test_partial_copy_is_deep():
-    net = fixture_g1()
-    y = empty_partial(net)
-    z = y.copy()
-    z.active.add(0)
-    z.resolved.add(0)
-    assert y.active == set() and y.resolved == set()
+    assert y.quiescent
 
 
 def test_sample_full_shapes_and_determinism():

@@ -17,7 +17,8 @@ from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
                              star_network, two_node_fixture)
 from dicnet.model import DicNetwork, fixed_distribution
 from dicnet.oracle import exact_marginal_gain
-from dicnet.realization import FullRealization, empty_partial, sample_full
+from dicnet.realization import (FullRealization, PartialRealization,
+                                sample_full)
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
                                StaticSeedListPolicy, _bernoulli_positions,
                                _draw_below, _reach, _worlds_from_live,
@@ -35,7 +36,7 @@ def test_observably_quiescent():
     # the observable scan over the whole active set, on hand-built states
     # (the simulator keeps the same flag in partial.quiescent)
     net = fixture_g1()
-    y = empty_partial(net)
+    y = PartialRealization()
     assert is_quiescent(net, y, y.active)
     y.active.add(2)                     # edge 2->3 unresolved
     assert not is_quiescent(net, y, y.active)
@@ -78,6 +79,17 @@ def test_bernoulli_positions():
     r1 = _bernoulli_positions(np.random.default_rng(8), 1000, 0.2)
     r2 = _bernoulli_positions(np.random.default_rng(8), 1000, 0.2)
     assert np.array_equal(r1, r2)
+
+
+def test_bernoulli_positions_continues_past_the_first_batch():
+    # gaps of 1 put every step of the first batch (78 at total=100, p=0.5)
+    # inside, so a second batch must continue from the last position
+    class UnitGaps:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    pos = _bernoulli_positions(UnitGaps(), 100, 0.5)
+    assert np.array_equal(pos, np.arange(100))
 
 
 def test_world_gain_matches_exact_gain():
