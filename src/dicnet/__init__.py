@@ -10,8 +10,8 @@ from .model import (DicNetwork, PropagationDistribution, fixed_distribution,
 from .realization import (FullRealization, PartialRealization, probability_of,
                           sample_full)
 from .diffusion import (EMPTY_COMMAND, DiffusionState, InvalidCommand,
-                        PolicyRun, SeedCommand, run_policy, run_to_quiescence,
-                        spread_count, start, step_round)
+                        PolicyRun, run_policy, run_to_quiescence, spread_count,
+                        start, step_round)
 from .strategies import (AGreedyPolicy, RandomPolicy, StaticSeedListPolicy,
                          h_greedy_prune, observably_quiescent, sample_worlds,
                          static_greedy_select, world_gain)

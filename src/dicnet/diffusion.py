@@ -2,7 +2,7 @@
 
 Each round is simultaneous: nodes named in the seed command consume their next
 seeding-attempt bit while every node of the previous frontier attempts its
-untried out-edges toward targets that were inactive at the start of the round.
+out-edges toward targets that were inactive at the start of the round.
 Newly active nodes (seeded or infected) form the next frontier.
 """
 
@@ -19,12 +19,7 @@ class InvalidCommand(ValueError):
     """Raised for null rounds, seeding active nodes, or budget violations."""
 
 
-@dataclass(frozen=True)
-class SeedCommand:
-    nodes: frozenset[int] = frozenset()
-
-
-EMPTY_COMMAND = SeedCommand()
+EMPTY_COMMAND = frozenset()     # a command is the set of nodes to seed
 
 
 @dataclass
@@ -34,22 +29,9 @@ class DiffusionState:
     frontier: set[int]
     budget_used: int
     used: list[int]            # per node, attempts so far: its next bit's index
-    _x: FullRealization = field(repr=False, default=None)
+    _x: FullRealization = field(repr=False)
     # one row per round: (round, seeded, outcome bits, newly active)
     trace: list = field(default_factory=list)
-
-
-def is_quiescent(net: DicNetwork, partial: PartialRealization, nodes) -> bool:
-    """True when no node of `nodes` has an unresolved edge to an inactive
-    node.  Over the whole active set this is observable quiescence.
-    `step_round` scans only the frontier: a node leaves the frontier after
-    its one round of attempts, when each of its out-edges is resolved or
-    points at an active node, so the two scans agree."""
-    for u in nodes:
-        for eidx, w in net.out_edges[u]:
-            if w not in partial.active and eidx not in partial.resolved:
-                return False
-    return True
 
 
 def start(net: DicNetwork, x: FullRealization) -> DiffusionState:
@@ -58,20 +40,25 @@ def start(net: DicNetwork, x: FullRealization) -> DiffusionState:
                           [0] * net.node_count, x)
 
 
-def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
+def step_round(state: DiffusionState, seeds: frozenset[int]) -> DiffusionState:
     """Execute one simultaneous round of seeding plus frontier propagation,
-    and append its row to `state.trace`."""
+    and append its row to `state.trace`.
+
+    A node is in the frontier only in the round after it turns active, so
+    each edge is attempted at most once and no attempted edge is recorded.
+    The state is quiescent when no newly active node has an out-edge into
+    an inactive node: older active nodes have made their attempts."""
     net, partial, x = state.net, state.partial, state._x
-    if not cmd.nodes and partial.quiescent:
+    if not seeds and partial.quiescent:
         raise InvalidCommand("null round: empty command on a quiescent state")
-    for v in cmd.nodes:
+    for v in seeds:
         if v in partial.active:
             raise InvalidCommand(f"node {v} is already active")
-    if state.budget_used + len(cmd.nodes) > net.budget:
+    if state.budget_used + len(seeds) > net.budget:
         raise InvalidCommand("budget exceeded")
 
-    active_at_start = partial.active
-    seeded = tuple(sorted(cmd.nodes))
+    active = partial.active
+    seeded = tuple(sorted(seeds))
     outcomes = []
     newly: set[int] = set()
     for v in seeded:
@@ -80,21 +67,18 @@ def step_round(state: DiffusionState, cmd: SeedCommand) -> DiffusionState:
         outcomes.append(bit)
         if bit:
             newly.add(v)
-    for u in sorted(state.frontier):
+    for u in state.frontier:
         for eidx, w in net.out_edges[u]:
-            if w in active_at_start or eidx in partial.resolved:
-                continue
-            partial.resolved.add(eidx)
-            if x.success[eidx]:
+            if w not in active and x.success[eidx]:
                 newly.add(w)
-    newly -= active_at_start
-    partial.active |= newly
-    partial.round_index += 1
-    state.trace.append((partial.round_index, seeded, tuple(outcomes),
+    newly -= active
+    active |= newly
+    state.trace.append((len(state.trace) + 1, seeded, tuple(outcomes),
                         tuple(sorted(newly))))
     state.frontier = newly
-    state.budget_used += len(cmd.nodes)
-    partial.quiescent = is_quiescent(net, partial, newly)
+    state.budget_used += len(seeds)
+    partial.quiescent = all(w in active
+                            for u in newly for _, w in net.out_edges[u])
     return state
 
 
@@ -144,7 +128,8 @@ def run_policy(net: DicNetwork, policy, x: FullRealization) -> PolicyRun:
     """Drive the cascade with a policy until budget exhaustion and quiescence.
 
     `policy.decide(net, partial)` sees only the partial realization.  It
-    returns a SeedCommand (empty while the cascade runs) or None to stop.
+    returns a frozenset of nodes to seed (empty to wait a round) or None to
+    stop.
     """
     state = start(net, x)
     while state.budget_used < net.budget:
@@ -156,4 +141,4 @@ def run_policy(net: DicNetwork, policy, x: FullRealization) -> PolicyRun:
     seeds = tuple(v for _, seeded, _, _ in state.trace for v in seeded)
     evals = getattr(policy, "gain_evaluations", 0)
     return PolicyRun(len(state.partial.active), state.trace, seeds,
-                     state.partial.round_index, evals)
+                     len(state.trace), evals)

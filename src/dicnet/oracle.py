@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .diffusion import EMPTY_COMMAND, SeedCommand, run_policy, spread_count
+from .diffusion import EMPTY_COMMAND, run_policy, spread_count
 from .model import DicNetwork
 from .realization import FullRealization, sample_full
 from .strategies import _eligible_nodes, observably_quiescent
@@ -125,10 +125,6 @@ def exact_policy_value(net: DicNetwork, policy_factory) -> float:
 # edges, and a node turning active was inactive until now, so none of its
 # out-edges is spent.
 # ---------------------------------------------------------------------------
-
-
-def _initial_belief(net: DicNetwork):
-    return (frozenset(), 0, ())
 
 
 def _round_branches(net: DicNetwork, belief, seeds):
@@ -245,7 +241,7 @@ def _induction(net: DicNetwork, moves) -> float:
         return result
 
     _check_guard(net)
-    return value(_initial_belief(net), 0)
+    return value((frozenset(), 0, ()), 0)  # nothing active, spent or pending
 
 
 def _adaptive_moves(net: DicNetwork, greedy: bool):
@@ -305,7 +301,6 @@ class ExactGainPolicy:
     def __init__(self, net: DicNetwork):
         self.net = net
         self.gain_evaluations = 0
-        self.selections: list[int] = []
 
     def decide(self, net, partial):
         if not observably_quiescent(net, partial):
@@ -314,9 +309,7 @@ class ExactGainPolicy:
         if not elig:
             return None
         self.gain_evaluations += len(elig)
-        best = _exact_argmax(net, partial.active, elig)
-        self.selections.append(best)
-        return SeedCommand(frozenset({best}))
+        return frozenset({_exact_argmax(net, partial.active, elig)})
 
 
 def greedy_adaptive_value(net: DicNetwork) -> float:

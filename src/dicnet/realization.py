@@ -30,14 +30,11 @@ class FullRealization:
 
 @dataclass
 class PartialRealization:
-    """Observable history as the policies read it: the active set, the
-    edges already attempted, and whether the observed cascade is quiescent
-    (kept up to date by `step_round`).  The outcome of each round is in the
-    state's trace."""
+    """Observable history as the policies read it: the active set and
+    whether the observed cascade is quiescent (kept up to date by
+    `step_round`).  The outcome of each round is in the state's trace."""
 
     active: set[int] = field(default_factory=set)
-    resolved: set[int] = field(default_factory=set)
-    round_index: int = 0
     quiescent: bool = True
 
 

@@ -1,12 +1,13 @@
 """The four shipped strategies.
 
 Policies are small state machines confined to a single run:
-`decide(net, partial)` receives the network and the observable partial
-realization, and returns a SeedCommand (empty = wait a round) or None to
-stop.  `run_policy` calls `decide` only while budget remains and keeps the
-budget itself; only the static list reads it, as `net.budget`.  So a run's
-decisions never depend on the budget left, and the drained spread after its
-first c seeds is `spread_count(net, x, run.seeds[:c])`.
+`decide(net, partial)` receives the network and the observation, the
+active set and the quiescence flag, and returns a frozenset of nodes to seed
+(empty = wait a round) or None to stop.  `run_policy` calls `decide` only
+while budget remains and keeps the budget itself; only the static list reads
+it, as `net.budget`.  So a run's decisions never depend on the budget left,
+and the drained spread after its first c seeds is
+`spread_count(net, x, run.seeds[:c])`.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import heapq
 
 import numpy as np
 
-from .diffusion import EMPTY_COMMAND, SeedCommand
+from .diffusion import EMPTY_COMMAND
 from .model import DicNetwork
 from .realization import PartialRealization
 
 
 def observably_quiescent(net: DicNetwork, partial: PartialRealization) -> bool:
-    """True when no active node has an unresolved edge to an inactive node,
-    i.e. the cascade cannot move without new seeds (kept by `step_round`)."""
+    """True when no active node has an unattempted edge to an inactive
+    node, i.e. the cascade cannot move without new seeds (kept by
+    `step_round` from the newly active nodes alone)."""
     return partial.quiescent
 
 
@@ -47,7 +49,7 @@ class RandomPolicy:
         if not elig:
             return None
         picks = self.rng.choice(elig, size=1, replace=False)
-        return SeedCommand(frozenset(int(v) for v in picks))
+        return frozenset(int(v) for v in picks)
 
 
 class StaticSeedListPolicy:
@@ -64,7 +66,7 @@ class StaticSeedListPolicy:
         take = self.seeds[:net.budget]
         if not take:
             return None
-        return SeedCommand(frozenset(take))
+        return frozenset(take)
 
 
 # module-level so that functools.partial(...) of it pickles for workers
@@ -290,13 +292,13 @@ def world_gain(net: DicNetwork, worlds, v: int, active) -> float:
     return net.activation[v] * total / len(worlds)
 
 
-def _lazy_forward(heap, stamp: int, score, eligible=None):
+def _lazy_forward(heap, stamp: int, score, excluded=()):
     """CELF's lazy-forward step: pop the (-gain, node, stamp) heap until its
     top entry was scored at `stamp`, re-scoring stale entries and dropping
-    nodes outside `eligible` when given; returns that entry's (node, gain)."""
+    nodes of `excluded`; returns that entry's (node, gain)."""
     while True:
         neg_gain, v, scored_at = heapq.heappop(heap)
-        if eligible is not None and v not in eligible:
+        if v in excluded:
             continue
         if scored_at == stamp:
             return v, -neg_gain
@@ -328,7 +330,6 @@ class AGreedyPolicy:
         self.gain_evaluations = 0
         self._heap: list = []          # (-gain, node, stamp)
         self._worlds = None
-        self.selections: list[int] = []
 
     def _gain(self, v, active):
         self.gain_evaluations += 1
@@ -353,9 +354,9 @@ class AGreedyPolicy:
                               for v in elig]
                 heapq.heapify(self._heap)
         if self.celf:
+            # the heap holds candidates only, so an ineligible one is active
             chosen, gain = _lazy_forward(
-                self._heap, self.step, lambda v: self._gain(v, active),
-                set(elig))
+                self._heap, self.step, lambda v: self._gain(v, active), active)
             # keep the chosen node queued with its latest gain for later steps
             heapq.heappush(self._heap, (-gain, chosen, self.step))
         else:
@@ -365,8 +366,7 @@ class AGreedyPolicy:
                 if g > best:
                     chosen, best = v, g
         self.step += 1
-        self.selections.append(chosen)
-        return SeedCommand(frozenset({chosen}))
+        return frozenset({chosen})
 
 
 def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicnet.diffusion import (EMPTY_COMMAND, InvalidCommand, SeedCommand,
-                              run_policy, run_to_quiescence, spread_count,
-                              start, step_round)
+from dicnet.diffusion import (EMPTY_COMMAND, InvalidCommand, run_policy,
+                              run_to_quiescence, spread_count, start,
+                              step_round)
 from dicnet.fixtures import fixture_g1, random_tiny_network
 from dicnet.realization import FullRealization, sample_full
 from dicnet.strategies import AGreedyPolicy, RandomPolicy, StaticSeedListPolicy
@@ -38,7 +38,7 @@ def test_full_chain_cascade_trace():
     # one hop per round
     net = fixture_g1()
     s = start(net, ALL_PASS)
-    step_round(s, SeedCommand(frozenset({0})))
+    step_round(s, frozenset({0}))
     assert s.partial.active == {0}
     assert s.frontier == {0}
     assert not s.partial.quiescent
@@ -47,14 +47,13 @@ def test_full_chain_cascade_trace():
         step_round(s, EMPTY_COMMAND)
         assert s.partial.active == set(range(k + 1))
     assert s.partial.quiescent
-    assert s.partial.round_index == 6
-    assert s.partial.resolved == set(range(5))
+    assert len(s.trace) == 6
 
 
 def test_failed_seed_is_observed_and_consumes_attempt():
     net = fixture_g1()
     s = start(net, ALL_FAIL)
-    step_round(s, SeedCommand(frozenset({2})))
+    step_round(s, frozenset({2}))
     assert s.partial.active == set()
     assert s.used[2] == 1
     assert s.budget_used == 1
@@ -67,8 +66,8 @@ def test_simultaneous_seed_and_propagation():
     x = _g1_realization([(1, 0, 0), (0,) * 3, (0,) * 3, (1, 0, 0),
                          (0,) * 3, (0,) * 3], (1, 0, 0, 1, 0))
     s = start(net, x)
-    step_round(s, SeedCommand(frozenset({0})))
-    step_round(s, SeedCommand(frozenset({3})))
+    step_round(s, frozenset({0}))
+    step_round(s, frozenset({3}))
     assert s.partial.active == {0, 1, 3}
     assert s.frontier == {1, 3}
     # round 3: edge 1->2 fails, 3->4 succeeds
@@ -76,7 +75,6 @@ def test_simultaneous_seed_and_propagation():
     assert s.partial.active == {0, 1, 3, 4}
     run_to_quiescence(s)
     assert s.partial.active == {0, 1, 3, 4}
-    assert s.partial.resolved == {0, 1, 3, 4}
 
 
 def test_null_round_rejected_only_when_quiescent():
@@ -84,7 +82,7 @@ def test_null_round_rejected_only_when_quiescent():
     s = start(net, ALL_PASS)
     with pytest.raises(InvalidCommand):
         step_round(s, EMPTY_COMMAND)        # round 0 is quiescent
-    step_round(s, SeedCommand(frozenset({0})))
+    step_round(s, frozenset({0}))
     step_round(s, EMPTY_COMMAND)            # fine: edge 0->1 is pending
     run_to_quiescence(s)
     with pytest.raises(InvalidCommand):
@@ -94,26 +92,26 @@ def test_null_round_rejected_only_when_quiescent():
 def test_seeding_active_node_rejected():
     net = fixture_g1()
     s = start(net, ALL_PASS)
-    step_round(s, SeedCommand(frozenset({0})))
+    step_round(s, frozenset({0}))
     with pytest.raises(InvalidCommand):
-        step_round(s, SeedCommand(frozenset({0})))
+        step_round(s, frozenset({0}))
 
 
 def test_attempt_exhaustion_and_budget():
     net = fixture_g1()
     s = start(net, ALL_FAIL)
-    step_round(s, SeedCommand(frozenset({1})))
-    step_round(s, SeedCommand(frozenset({1})))
-    step_round(s, SeedCommand(frozenset({1})))
+    step_round(s, frozenset({1}))
+    step_round(s, frozenset({1}))
+    step_round(s, frozenset({1}))
     assert s.budget_used == 3 and s.used[1] == 3
     # a fourth attempt on node 1 would read past its attempt vector; the
     # budget, spent on its three failures, refuses it first
     with pytest.raises(InvalidCommand, match="budget exceeded"):
-        step_round(s, SeedCommand(frozenset({1})))
+        step_round(s, frozenset({1}))
     s2 = start(net, ALL_FAIL)
-    step_round(s2, SeedCommand(frozenset({0, 1})))
+    step_round(s2, frozenset({0, 1}))
     with pytest.raises(InvalidCommand):     # global budget: 2 used, 2 asked
-        step_round(s2, SeedCommand(frozenset({2, 3})))
+        step_round(s2, frozenset({2, 3}))
 
 
 def test_spread_count_hand_cases():
@@ -146,7 +144,7 @@ def test_policy_sees_only_the_partial_observation():
         def decide(self, net, partial):
             observed.append(partial)
             if len(observed) == 1:
-                return SeedCommand(frozenset({0}))
+                return frozenset({0})
             return None
 
     net = fixture_g1()
@@ -189,8 +187,7 @@ def test_step_round_records_the_trace_run_policy_returns():
     net = fixture_g1()
     x = _g1_realization([(1, 0, 0), (0,) * 3, (0,) * 3, (1, 0, 0),
                          (0,) * 3, (0,) * 3], (1, 1, 0, 1, 0))
-    commands = [SeedCommand(frozenset({0})), EMPTY_COMMAND,
-                SeedCommand(frozenset({5, 3}))]
+    commands = [frozenset({0}), EMPTY_COMMAND, frozenset({5, 3})]
     s = start(net, x)
     for cmd in commands:
         step_round(s, cmd)
@@ -221,7 +218,7 @@ def test_drained_spread_after_c_seeds_is_spread_count_of_the_prefix(seed):
             for _, seeded, _, _ in run.trace:
                 if played >= c:
                     break
-                commands.append(SeedCommand(frozenset(seeded)))
+                commands.append(frozenset(seeded))
                 played += len(seeded)
             prefix = run_policy(net, _Script(commands), x)
             assert prefix.seeds == run.seeds[:c]

@@ -35,11 +35,9 @@ def _sample_full_reference(net, rng):
 
 
 def test_empty_partial_shape():
+    # the observation is the active set and the quiescence flag, nothing more
     y = PartialRealization()
-    assert y.active == set()
-    assert y.resolved == set()
-    assert y.round_index == 0
-    assert y.quiescent
+    assert vars(y) == {"active": set(), "quiescent": True}
 
 
 def test_sample_full_shapes_and_determinism():

@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 import dicnet.diffusion
 import dicnet.strategies
 from dicnet.data import generate_power_law, parse_preset
-from dicnet.diffusion import is_quiescent, run_policy
+from dicnet.diffusion import run_policy
 from dicnet.estimator import half_width
-from dicnet.fixtures import (chain_network, fixture_g1, random_tiny_network,
-                             star_network, two_node_fixture)
+from dicnet.fixtures import (chain_network, random_tiny_network, star_network,
+                             two_node_fixture)
 from dicnet.model import DicNetwork, fixed_distribution
 from dicnet.oracle import exact_marginal_gain
-from dicnet.realization import (FullRealization, PartialRealization,
-                                sample_full)
+from dicnet.realization import FullRealization, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
                                StaticSeedListPolicy, _bernoulli_positions,
                                _draw_below, _reach, _worlds_from_live,
-                               h_greedy_prune,
+                               h_greedy_prune, observably_quiescent,
                                reach_totals, sample_worlds,
                                static_greedy_select, world_gain)
 
@@ -30,23 +29,6 @@ from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
 def _edgeless(n, activation, budget):
     acts = (activation,) * n if isinstance(activation, float) else tuple(activation)
     return DicNetwork(n, acts, (), budget)
-
-
-def test_observably_quiescent():
-    # the observable scan over the whole active set, on hand-built states
-    # (the simulator keeps the same flag in partial.quiescent)
-    net = fixture_g1()
-    y = PartialRealization()
-    assert is_quiescent(net, y, y.active)
-    y.active.add(2)                     # edge 2->3 unresolved
-    assert not is_quiescent(net, y, y.active)
-    y.resolved.add(2)
-    assert is_quiescent(net, y, y.active)
-    y.active.add(3)                     # now 3->4 pending instead
-    assert not is_quiescent(net, y, y.active)
-    y.active.add(4)
-    y.resolved.add(4)
-    assert is_quiescent(net, y, y.active)
 
 
 def test_random_policy_respects_budget_and_eligibility():
@@ -278,7 +260,7 @@ def test_a_greedy_prefers_the_hub():
     x = sample_full(net, np.random.default_rng(14))
     policy = AGreedyPolicy(net, 400, np.random.default_rng(15))
     run = run_policy(net, policy, x)
-    assert policy.selections == [0]
+    assert run.seeds == (0,)
     assert run.gain_evaluations == policy.gain_evaluations > 0
 
 
@@ -290,7 +272,7 @@ def test_a_greedy_waits_out_cascades():
     run = run_policy(net, policy, x)
     # node 0 covers the whole chain, so one seed suffices and the second
     # decide finds no eligible node left
-    assert policy.selections == [0]
+    assert run.seeds == (0,)
     assert run.spread == 5
 
 
@@ -304,7 +286,7 @@ def test_celf_matches_exhaustive_argmax():
         full = AGreedyPolicy(net, 150, np.random.default_rng(500 + t), celf=False)
         run_lazy = run_policy(net, lazy, x)
         run_full = run_policy(net, full, x)
-        assert lazy.selections == full.selections, f"instance {t}"
+        assert run_lazy.seeds == run_full.seeds, f"instance {t}"
         assert run_lazy.spread == run_full.spread
         assert lazy.gain_evaluations <= full.gain_evaluations
 
@@ -385,29 +367,55 @@ def test_static_greedy_select_draws_in_blocks(monkeypatch):
 
 
 def _run_checking_states(net, policy, x, check):
-    """run_policy(net, policy, x), calling check(partial) on every state the
+    """run_policy(net, policy, x), calling check(state) on every state the
     run reaches: before and after each round."""
     original = dicnet.diffusion.step_round
 
     def checked_step(state, cmd):
-        check(state.partial)
+        check(state)
         state = original(state, cmd)
-        check(state.partial)
+        check(state)
         return state
 
     with mock.patch.object(dicnet.diffusion, "step_round", checked_step):
         return run_policy(net, policy, x)
 
 
+def _quiescent_by_trace(net, state) -> bool:
+    """Quiescence read off the trace alone: every out-edge of an active node
+    points into the active set or starts at a node that did not turn active
+    in the last round, and so has made its one attempt."""
+    last = set(state.trace[-1][3]) if state.trace else set()
+    active = state.partial.active
+    return all(w in active or u not in last
+               for u in active for _, w in net.out_edges[u])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_observably_quiescent(seed):
+    # at every state an a-greedy, a random and a static run reach, the flag
+    # step_round keeps from the newly active nodes equals the trace's rule
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    static = rng.permutation(net.node_count)[:net.budget].tolist()
+
+    def check(state):
+        assert (observably_quiescent(net, state.partial)
+                == _quiescent_by_trace(net, state))
+
+    for policy in (AGreedyPolicy(net, 60, rng), RandomPolicy(rng),
+                   StaticSeedListPolicy(static)):
+        _run_checking_states(net, policy, sample_full(net, rng), check)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
     # at every state of an a-greedy run and of a random run that seeds
-    # mid-cascade: the simulator's quiescence flag equals the scan over the
-    # whole active set, resolved edges start at active nodes (so
-    # conditioning on the active set loses nothing), and the world estimate
-    # of each eligible node's gain is within its Hoeffding half-width of the
-    # exact conditional gain
+    # mid-cascade: the simulator's quiescence flag equals the trace's rule,
+    # and the world estimate of each eligible node's gain is within its
+    # Hoeffding half-width of the exact conditional gain
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=4, budget=2)
     replications, delta = 4000, 1e-6
@@ -415,16 +423,15 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
     hw = half_width(net.node_count, replications, delta)
     checked = []
 
-    def check(partial):
-        assert partial.quiescent == is_quiescent(net, partial, partial.active)
-        for e in partial.resolved:
-            assert net.edges[e][0] in partial.active
+    def check(state):
+        active = state.partial.active
+        assert state.partial.quiescent == _quiescent_by_trace(net, state)
         for v in range(net.node_count):
-            if v in partial.active:
+            if v in active:
                 continue
-            est = world_gain(net, worlds, v, partial.active)
-            assert abs(est - exact_marginal_gain(net, partial.active, v)) <= hw
-        checked.append(partial.round_index)
+            est = world_gain(net, worlds, v, active)
+            assert abs(est - exact_marginal_gain(net, active, v)) <= hw
+        checked.append(len(state.trace))
 
     for policy in (AGreedyPolicy(net, 200, rng),
                    RandomPolicy(rng)):
@@ -444,8 +451,8 @@ def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
     net = random_tiny_network(rng, max_nodes=5, budget=3)
     worlds = sample_worlds(net, 60, rng)
 
-    def check(partial):
-        active = partial.active
+    def check(state):
+        active = state.partial.active
         totals = reach_totals(net, worlds, active)
         for v in range(net.node_count):
             if v in active:
@@ -506,7 +513,6 @@ def test_lazy_queues_match_exhaustive_argmax(seed):
     lazy = AGreedyPolicy(net, 60, np.random.default_rng(draw))
     full = AGreedyPolicy(net, 60, np.random.default_rng(draw), celf=False)
     assert run_policy(net, lazy, x).trace == run_policy(net, full, x).trace
-    assert lazy.selections == full.selections
 
     # static greedy: rebuild its live edges and seeding successes from the
     # same draws, then pick the node whose addition covers the most
