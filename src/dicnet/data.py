@@ -60,6 +60,37 @@ def parse_preset(text: str, activation: float = 0.5) -> PresetSpec:
     return PresetSpec(dist, activation)
 
 
+def _pick(weights: np.ndarray, prefix: np.ndarray, u: float) -> int:
+    """The node that `Generator.choice(len(weights), p=weights / s)` gives
+    for the uniform u, where `prefix` is the exact cumulative sum of the
+    integer `weights` and s its last entry.
+
+    The pick is the first index whose prefix exceeds u * s.  Choice's own
+    steps (normalise, cumulative sum, renormalise, `searchsorted`) round,
+    so they can decide differently only when u lies within their rounding
+    error of a boundary prefix[k] / s; there this falls back to them.
+    """
+    s = prefix.item(-1)
+    x = u * s
+    t = int(prefix.searchsorted(x, side="right"))
+    # With eps = 2**-53, i = len(weights) and P_k = prefix[k] / s (s itself
+    # is exact): each w / s rounds once (eps), so a float cumsum of k + 1
+    # terms is within (k + 1) eps P_k of P_k, and dividing by the cumsum's
+    # last entry (itself within i eps of 1) and rounding again adds i eps +
+    # eps.  So, to first order, choice's cdf[k] lies within (2i + 2) eps of
+    # P_k, and x / s within eps of u.  Both paths agree unless u is within
+    # (2i + 3) eps of the nearest P_k on either side; the margin, 8 (i + 4)
+    # eps, covers that and the rounding of the two differences below with
+    # room to spare.
+    tol = (len(prefix) + 4) * 2.0 ** -50 * s
+    if (t < len(prefix) and prefix.item(t) - x > tol
+            and (not t or x - prefix.item(t - 1) > tol)):
+        return t
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
 def generate_power_law(n: int, edges_target: int, rng_seed: int,
                        preset: PresetSpec, budget: int,
                        skew: float = 0.0) -> DicNetwork:
@@ -75,6 +106,15 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     undirected pair is stored as two directed edges.  `skew` controls how
     steeply the stub budget concentrates on early arrivals (larger values
     give a denser core and more degree-poor fringe nodes).
+
+    Each pick turns one double of the Philox `random()` stream into a node
+    as `Generator.choice` would.  The squared degrees are integers, so their
+    running sums are exact float64 integers while 2 pair_target (n - 1) <
+    2**53 (checked up front): a node's prefix sums are built once, a pick
+    is a `searchsorted` of u times their total, and the picked weight is
+    subtracted from the prefixes after it.  Only when u lies within a
+    rounding margin of a boundary does `_pick` take choice's own rounded
+    steps, so the nets are the ones those steps give, byte for byte.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
@@ -85,6 +125,11 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     if not (n - 1 <= pair_target <= max_pairs):
         raise ValueError(f"edges_target {edges_target} not achievable "
                          f"with {n} nodes")
+    # a squared-degree prefix is at most (largest degree) x (degree sum)
+    # < (n - 1) x 2 pair_target, which must stay an exact float64 integer
+    if 2 * pair_target * (n - 1) >= 2 ** 53:
+        raise ValueError(f"{n} nodes and {edges_target} edges exceed the "
+                         f"generator's exact range")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     # every arriving node brings one connecting stub plus a rank-skewed share
     # of the remaining pair budget; early arrivals carry the surplus so the
@@ -107,13 +152,11 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     pairs: list[tuple[int, int]] = []
     for i in range(1, n):
         weights = degree[:i] ** 2.0
-        # Generator.choice(i, p=weights / weights.sum())'s own steps, one
-        # uniform per pick, without its per-call check of p
+        prefix = weights.cumsum()                 # exact: integers below 2**53
         for u in rng.random(int(stubs[i - 1])).tolist():
-            cdf = (weights / weights.sum()).cumsum()
-            cdf /= cdf[-1]
-            t = int(cdf.searchsorted(u, side="right"))
+            t = _pick(weights, prefix, u)
             pairs.append((t, i))
+            prefix[t:] -= weights[t]              # integers: stays exact
             weights[t] = 0.0                      # no duplicate pairs from one node
             degree[t] += 1.0
             degree[i] += 1.0

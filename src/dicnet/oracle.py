@@ -298,8 +298,7 @@ class ExactGainPolicy:
     runs are deterministic given the realization.
     """
 
-    def __init__(self, net: DicNetwork):
-        self.net = net
+    def __init__(self):
         self.gain_evaluations = 0
 
     def decide(self, net, partial):

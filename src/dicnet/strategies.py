@@ -338,15 +338,15 @@ class AGreedyPolicy:
     def decide(self, net, partial):
         if not observably_quiescent(net, partial):
             return EMPTY_COMMAND
-        elig = _eligible_nodes(net, partial.active, self.candidates)
-        if not elig:
-            return None
         active = partial.active
+        if self.candidates <= active:            # every candidate is active
+            return None
         if self._worlds is None:
             self._worlds = sample_worlds(self.net, self.replications, self.rng)
             if self.celf:
                 # one kernel pass scores the whole first fill; re-evaluations
                 # of single candidates use world_gain
+                elig = _eligible_nodes(net, active, self.candidates)
                 totals = reach_totals(self.net, self._worlds, active)
                 self.gain_evaluations += len(elig)
                 act, reps = self.net.activation, len(self._worlds)
@@ -361,7 +361,8 @@ class AGreedyPolicy:
             heapq.heappush(self._heap, (-gain, chosen, self.step))
         else:
             chosen, best = None, -1.0
-            for v in elig:           # ascending ids: ties go to the smallest
+            # ascending ids: ties go to the smallest
+            for v in _eligible_nodes(net, active, self.candidates):
                 g = self._gain(v, active)
                 if g > best:
                     chosen, best = v, g

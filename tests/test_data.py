@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dicnet.data import (SchemaError, _dist_to_json, generate_power_law,
+from dicnet.data import (SchemaError, _dist_to_json, _pick, generate_power_law,
                          load_network, parse_preset, save_network)
 from dicnet.fixtures import fixture_g1, two_node_fixture
 from dicnet.model import PropagationDistribution, validate_network
@@ -136,6 +136,8 @@ def _generator_args(draw):
 @example((80, 80 * 79, 6, 3.0))
 @example((57, 2 * 56 + 2, 1, 1.5))
 @example((57, 57 * 56 - 2, 2, 0.5))
+@example((2500, 26000, 47, 0.0))                 # the paper net
+@example((200, 14000, 47, 1.5))                  # the dense-prune net
 def test_generator_matches_choice_wiring(args):
     # the inline wiring draws the same edges as one rng.choice per pick
     n, edges_target, seed, skew = args
@@ -144,6 +146,54 @@ def test_generator_matches_choice_wiring(args):
                  for t, i in _choice_wired_pairs(n, edges_target, seed, skew)
                  for u, w in ((t, i), (i, t)))
     assert net.edges == want
+
+
+def _choice_pick(weights, u):
+    """Generator.choice's own steps for one pick: normalise, cumsum,
+    renormalise, searchsorted."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+@pytest.mark.parametrize("weights", [
+    [81.0, 49.0, 100.0],
+    [49.0, 36.0, 9.0, 9.0, 0.0, 0.0, 0.0],
+    [100.0, 4.0, 1.0, 100.0, 0.0, 36.0],
+    [0.0, 1.0, 0.0, 4.0, 9.0, 0.0],
+])
+def test_pick_falls_back_to_choice_at_prefix_boundaries(weights):
+    # u exactly at a boundary prefix[k] / s and one double either side: in
+    # each case the exact prefix alone decides some of these differently
+    # from choice's rounded cdf, and the fallback must give choice's answer
+    weights = np.array(weights)
+    prefix = weights.cumsum()
+    s = prefix[-1]
+    bare_differs = False
+    for k in range(len(prefix)):
+        edge = prefix[k] / s
+        for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            u = float(u)
+            if not 0.0 <= u < 1.0:
+                continue
+            want = _choice_pick(weights, u)
+            assert _pick(weights, prefix, u) == want
+            bare = int(prefix.searchsorted(u * s, side="right"))
+            bare_differs |= bare != want
+    assert bare_differs             # each case needs the fallback somewhere
+
+
+def test_generator_exactness_guard_raises_before_allocating(monkeypatch):
+    # 2 pair_target (n - 1) must stay below 2**53; the guard runs before
+    # the first array of n entries is made
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(np, "arange", no_arrays)
+    n = 2 ** 26 + 1                              # 2 (n-1) (n-1) == 2**53
+    with pytest.raises(ValueError, match="exact range"):
+        generate_power_law(n, 2 * (n - 1), 0, PRESET, 1)
+    with pytest.raises(AssertionError, match="allocated"):
+        generate_power_law(n - 1, 2 * (n - 2), 0, PRESET, 1)   # just inside
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

@@ -171,7 +171,7 @@ def test_greedy_induction_agrees_with_simulator_policy():
     for t in range(6):
         net = random_tiny_network(np.random.default_rng(700 + t))
         via_induction = greedy_adaptive_value(net)
-        via_simulator = exact_policy_value(net, lambda: ExactGainPolicy(net))
+        via_simulator = exact_policy_value(net, ExactGainPolicy)
         assert via_induction == pytest.approx(via_simulator, abs=1e-9)
 
 
@@ -211,7 +211,7 @@ def test_exact_values_are_pinned_bit_for_bit():
 def test_exact_gain_policy_runs():
     net = _three_path()
     x = next(iter(enumerate_realizations(net)))[0]
-    policy = ExactGainPolicy(net)
+    policy = ExactGainPolicy()
     run = run_policy(net, policy, x)
     assert policy.gain_evaluations > 0
     assert run.seeds != ()
