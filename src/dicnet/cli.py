@@ -187,9 +187,11 @@ def cmd_run(args, given) -> int:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER.split(","))
+            net = base
             for strategy in strategies:
                 for budget in budgets:
-                    net = dataclasses.replace(base, budget=budget)
+                    # each cell shares the views the cells before it built
+                    net = net.with_budget(budget)
                     factory, info = _make_factory(strategy, net, args)
                     rows = run_replications(net, factory, args.reps,
                                             args.seed, args.workers)

@@ -168,7 +168,7 @@ def _static_spread_total(net: DicNetwork, seeds, master_seed: int,
         u = block[:min(len(block), stop - lo)]
         for row, i in zip(u, range(lo, stop)):
             pool.get(i, PURPOSE_WORLD).random(out=row)
-        bits, _, success = map_uniforms(net, u)
+        bits, success = map_uniforms(net, u)
         active = np.zeros((len(u), n), dtype=bool)
         active[:, roots] = bits[:, roots * b]
         active = active.ravel()

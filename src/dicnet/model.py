@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -135,6 +135,15 @@ class DicNetwork:
     activation: tuple[float, ...]
     edges: tuple[tuple[int, int, PropagationDistribution], ...]
     budget: int
+
+    def with_budget(self, budget: int) -> DicNetwork:
+        """This network at another budget, sharing every view computed so
+        far that does not read the budget."""
+        net = replace(self, budget=budget)
+        for name in ("out_edges", "edge_laws", "atom_table", "edge_arrays"):
+            if name in vars(self):
+                vars(net)[name] = vars(self)[name]
+        return net
 
     @cached_property
     def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:

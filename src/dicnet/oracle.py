@@ -11,6 +11,7 @@ desk-scale instances and exists to cross-check the Monte Carlo side.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -72,34 +73,25 @@ def _check_guard(net: DicNetwork):
 
 
 def enumerate_realizations(net: DicNetwork):
-    """Yield every (FullRealization, probability); probabilities sum to one."""
+    """Yield every (FullRealization, probability); probabilities sum to one.
+
+    Each edge branches on its drawn value and then on its success bit.  The
+    realization keeps only the success bit, so the branches of one edge's
+    values with the same bit yield equal realizations, each with its own
+    probability."""
     _check_guard(net)
-    node_options = []
-    for v in range(net.node_count):
-        p = net.activation[v]
-        opts = []
-        for bits in itertools.product((0, 1), repeat=net.budget):
-            prob = 1.0
-            for bit in bits:
-                prob *= p if bit else (1.0 - p)
-            opts.append((bits, prob))
-        node_options.append(opts)
-    edge_options = []
-    for _, _, dist in net.edges:
-        opts = []
-        for value, mass in zip(dist.values, dist.masses):
-            opts.append(((value, 1), mass * value))
-            opts.append(((value, 0), mass * (1.0 - value)))
-        edge_options.append(opts)
+    node_options = [[(bits, math.prod(p if bit else 1.0 - p for bit in bits))
+                     for bits in itertools.product((0, 1), repeat=net.budget)]
+                    for p in net.activation]
+    edge_options = [[(bit, mass * (value if bit else 1.0 - value))
+                     for value, mass in zip(dist.values, dist.masses)
+                     for bit in (1, 0)]
+                    for _, _, dist in net.edges]
     n = net.node_count
     for combo in itertools.product(*node_options, *edge_options):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        draws = [c[0] for c in combo[n:]]
-        yield FullRealization([bit for bits, _ in combo[:n] for bit in bits],
-                              [value for value, _ in draws],
-                              [success for _, success in draws]), prob
+        seed_bits = bytes(bit for bits, _ in combo[:n] for bit in bits)
+        yield (FullRealization(seed_bits, bytes(s for s, _ in combo[n:])),
+               math.prod(p for _, p in combo))
 
 
 def exact_policy_value(net: DicNetwork, policy_factory) -> float:

@@ -1,11 +1,12 @@
 """Full and partial realizations of the cascade's random outcomes.
 
-A full realization fixes every random coordinate up front: per node a
-length-B vector of seeding-attempt outcome bits, consumed in order, and per
-edge the drawn propagation value and the single attempt's success bit.  A
-partial realization records only what the policies read of the observation;
-the simulator keeps the full realization, and where each node's next attempt
-bit is read, private.
+A full realization fixes every random coordinate a run reads, as two byte
+strings: per node a length-B vector of seeding-attempt outcome bits,
+consumed in order, and per edge its single attempt's success bit (the drawn
+propagation value decides the bit and is not kept).  A partial realization
+records only what the policies read of the observation; the simulator keeps
+the full realization, and where each node's next attempt bit is read,
+private.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .model import DicNetwork
 @dataclass(frozen=True)
 class FullRealization:
     """Flat, as `map_uniforms` lays the coordinates out: bit j of node v at
-    `seed_bits[v*B + j]`, and per edge its drawn value and success bit."""
+    `seed_bits[v*B + j]`, and edge e's success bit at `success[e]`; each
+    byte is 0 or 1."""
 
-    seed_bits: list[int]                         # 0/1, node-major
-    values: list[float]
-    success: list[int]                           # 0/1
+    seed_bits: bytes                             # node-major
+    success: bytes
 
 
 @dataclass
@@ -40,8 +41,8 @@ class PartialRealization:
 
 def map_uniforms(net: DicNetwork, u: np.ndarray):
     """Map a K x (n*B + 2m) block of uniforms, one realization per row, to
-    its coordinates: seed bits (K x n*B, node-major), edge values (K x m)
-    and edge success bits (K x m).
+    its coordinates: seed bits (K x n*B, node-major) and edge success bits
+    (K x m).
 
     Seed bit j of node v is `u[v*B + j] < activation[v]`; edge e's value is
     the first atom of its law whose cumulative mass is >= `u[nB + e]`, or
@@ -57,7 +58,7 @@ def map_uniforms(net: DicNetwork, u: np.ndarray):
     keys.imag = u[:, base:base + m]
     k = np.searchsorted(atom_keys, keys, side="left")
     values = atom_values[np.minimum(k, edge_last, out=k)]
-    return u[:, :base] < net.attempt_activation, values, u[:, base + m:] < values
+    return u[:, :base] < net.attempt_activation, u[:, base + m:] < values
 
 
 def sample_full(net: DicNetwork, rng) -> FullRealization:
@@ -69,16 +70,14 @@ def sample_full(net: DicNetwork, rng) -> FullRealization:
     n, b = net.node_count, net.budget
     m = len(net.edges)
     u = rng.random(n * b + 2 * m)            # one draw call: seeds, draws, attempts
-    seeds, values, success = map_uniforms(net, u.reshape(1, -1))
-    return FullRealization(seeds[0].view(np.int8).tolist(), values[0].tolist(),
-                           success[0].view(np.int8).tolist())
+    seeds, success = map_uniforms(net, u.reshape(1, -1))
+    return FullRealization(seeds[0].tobytes(), success[0].tobytes())
 
 
 def probability_of(net: DicNetwork, x: FullRealization) -> float:
-    """Log-probability of a full realization under the network's law.
-
-    Raises ValueError when a drawn value is not in its edge's support.
-    """
+    """Log-probability of a full realization under the network's law: each
+    seed bit under its node's activation, each success bit under its edge's
+    mean propagation probability."""
     logp = 0.0
 
     def _ln(p: float) -> float:
@@ -89,12 +88,6 @@ def probability_of(net: DicNetwork, x: FullRealization) -> float:
         p = net.activation[v]
         for bit in x.seed_bits[v * b:(v + 1) * b]:
             logp += _ln(p) if bit else _ln(1.0 - p)
-    for e, (_, _, dist) in enumerate(net.edges):
-        value, success = x.values[e], x.success[e]
-        try:
-            k = dist.values.index(value)
-        except ValueError:
-            raise ValueError(f"draw {value} not in support of edge {e}") from None
-        logp += _ln(dist.masses[k])
-        logp += _ln(value) if success else _ln(1.0 - value)
+    for mean, success in zip(net.edge_arrays[2].tolist(), x.success):
+        logp += _ln(mean) if success else _ln(1.0 - mean)
     return logp

@@ -99,13 +99,16 @@ def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
     pos = -1
     batch = int(total * p * 1.25) + 16
     while True:
-        steps = np.cumsum(rng.geometric(p, size=batch)) + pos
-        inside = steps[steps < total]
+        steps = rng.geometric(p, size=batch)
+        np.cumsum(steps, out=steps)
+        steps += pos
+        # gaps are >= 1, so the steps ascend: those below total are a prefix
+        inside = steps[:steps.searchsorted(total)]
         chunks.append(inside)
         if len(inside) < len(steps):
             break
         pos = int(steps[-1])
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _worlds_from_live(net: DicNetwork, pieces, replications: int) -> list[dict]:

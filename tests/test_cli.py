@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicnet.cli
+import dicnet.model
 from dicnet.cli import CSV_HEADER, ConfigError, main, parse_budgets
 from dicnet.data import generate_power_law, load_network, parse_preset, save_network
 from dicnet.fixtures import two_node_fixture
@@ -276,6 +277,18 @@ def test_run_generates_its_network_once(tmp_path):
                      "--strategies", "random,greedy", "--out", out]) == 0
     assert gen.call_count == 1
     assert len(_read_rows(out)) == 1 + 2 * 3 * 2
+
+
+def test_run_cells_share_the_budget_free_views(tmp_path):
+    # a run's cells differ only in budget, so the edge views (here counted
+    # by the one law mean they compute) are built once for all of them
+    out = str(tmp_path / "r.csv")
+    with mock.patch.object(dicnet.model, "mean_propagation",
+                           wraps=dicnet.model.mean_propagation) as mean:
+        assert main(["run", "--gen", "30,120,9", "--preset", "f1:0.1",
+                     "--budgets", "1..3", "--reps", "2", "--R", "20",
+                     "--strategies", "greedy", "--out", out]) == 0
+    assert mean.call_count == 1
 
 
 def _one_line_error(capsys):

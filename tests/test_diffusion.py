@@ -13,13 +13,11 @@ from dicnet.realization import FullRealization, sample_full
 from dicnet.strategies import AGreedyPolicy, RandomPolicy, StaticSeedListPolicy
 
 
-def _g1_realization(seed_bits, edge_bits, values=None):
+def _g1_realization(seed_bits, edge_bits):
     """Hand-built realization for the 6-chain: seed_bits[v] is the length-3
-    attempt vector, edge_bits[e] the attempt success, values optional."""
-    if values is None:
-        values = (0.4,) * 5
-    return FullRealization([bit for bits in seed_bits for bit in bits],
-                           list(values), list(edge_bits))
+    attempt vector, edge_bits[e] the attempt success."""
+    return FullRealization(bytes(bit for bits in seed_bits for bit in bits),
+                           bytes(edge_bits))
 
 
 ALL_FAIL = _g1_realization([(0, 0, 0)] * 6, (0, 0, 0, 0, 0))
@@ -129,8 +127,7 @@ def test_spread_count_hand_cases():
     with pytest.raises(InvalidCommand):
         spread_count(net, x, [0, 1, 2, 3])    # budget 3
     with pytest.raises(InvalidCommand):
-        spread_count(net, _g1_realization([(1, 1, 1)] * 6, (1,) * 5,
-                                          ), [0] * 4)
+        spread_count(net, _g1_realization([(1, 1, 1)] * 6, (1,) * 5), [0] * 4)
 
 
 def test_policy_sees_only_the_partial_observation():

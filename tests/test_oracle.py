@@ -67,13 +67,20 @@ def test_enumeration_masses_sum_to_one():
     items = list(enumerate_realizations(net))
     assert len(items) == 16
     assert math.fsum(p for _, p in items) == pytest.approx(1.0, abs=1e-12)
-    # each probability agrees with the likelihood of its realization
+    # the branches of one edge's values with the same success bit yield
+    # equal realizations: the likelihood of each distinct realization is
+    # the sum of its branches' probabilities
+    mass: dict = {}
     for x, p in items:
-        if p > 0.0:
-            assert math.log(p) == pytest.approx(probability_of(net, x))
+        mass[x] = mass.get(x, 0.0) + p
+    for x, p in mass.items():
+        want = math.log(p) if p > 0.0 else float("-inf")
+        assert want == pytest.approx(probability_of(net, x))
     # activation 1.0 zeroes every seed-failure branch: only the four edge
-    # outcomes (two values x success bit) carry mass
+    # branches (two values x success bit) carry mass, and they yield the
+    # two success bits
     assert sum(1 for _, p in items if p > 0.0) == 4
+    assert sum(1 for p in mass.values() if p > 0.0) == 2
 
 
 def test_enumeration_guard_triggers():

@@ -24,14 +24,14 @@ def _sample_full_reference(net, rng):
     n, b = net.node_count, net.budget
     m = len(net.edges)
     u = rng.random(n * b + 2 * m).tolist()
-    seeds = [int(u[v * b + j] < net.activation[v])
-             for v in range(n) for j in range(b)]
-    values, success = [], []
+    seeds = bytes(u[v * b + j] < net.activation[v]
+                  for v in range(n) for j in range(b))
+    success = []
     for e, (_, _, dist) in enumerate(net.edges):
         k = bisect_left(dist.cum_masses, u[n * b + e])
-        values.append(dist.values[min(k, len(dist.values) - 1)])
-        success.append(int(u[n * b + m + e] < values[-1]))
-    return FullRealization(seeds, values, success)
+        value = dist.values[min(k, len(dist.values) - 1)]
+        success.append(u[n * b + m + e] < value)
+    return FullRealization(seeds, bytes(success))
 
 
 def test_empty_partial_shape():
@@ -45,22 +45,21 @@ def test_sample_full_shapes_and_determinism():
     x1 = sample_full(net, np.random.default_rng(3))
     x2 = sample_full(net, np.random.default_rng(3))
     assert x1 == x2
+    assert type(x1.seed_bits) is bytes and type(x1.success) is bytes
     assert len(x1.seed_bits) == 6 * 3           # node-major, B = 3
     assert set(x1.seed_bits) <= {0, 1}
-    assert len(x1.values) == len(x1.success) == 5
-    for value, success in zip(x1.values, x1.success):
-        assert value in (0.4, 0.8)
-        assert success in (0, 1)
+    assert len(x1.success) == 5
+    assert set(x1.success) <= {0, 1}
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(
     ["tiny", "shared", "f1:0.3", "f2:0.2,4", "f2:3.0,6", "f3:0.1,0.5,0.9"]))
 def test_sample_full_equals_the_reference_mapping(seed, kind):
-    # the (law, draw)-keyed searchsorted mapping gives the same Python ints
-    # and floats as the coordinate-by-coordinate bisect: on tiny nets (a law
-    # object per edge), on small generated nets of each preset family (one
-    # law) and on generated nets whose edges share laws in mixed order
+    # the (law, draw)-keyed searchsorted mapping gives the same bits as the
+    # coordinate-by-coordinate bisect: on tiny nets (a law object per edge),
+    # on small generated nets of each preset family (one law) and on
+    # generated nets whose edges share laws in mixed order
     rng = np.random.default_rng(seed)
     if kind == "tiny":
         net = random_tiny_network(rng, max_nodes=5, budget=3)
@@ -87,46 +86,35 @@ def test_sample_full_marginal_laws():
     rng = np.random.default_rng(11)
     reps = 20000
     seed_hits = 0
-    draw_hi = 0
-    succ_given_lo = [0, 0]
+    edge_hits = 0
     for _ in range(reps):
         x = sample_full(net, rng)
         seed_hits += x.seed_bits[2 * 3 + 1]    # node 2, second attempt
-        value, success = x.values[3], x.success[3]
-        draw_hi += value == 0.8
-        if value == 0.4:
-            succ_given_lo[0] += 1
-            succ_given_lo[1] += success
+        edge_hits += x.success[3]
     assert seed_hits / reps == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(reps))
-    assert draw_hi / reps == pytest.approx(0.2, abs=3 * 0.4 / math.sqrt(reps))
-    assert succ_given_lo[1] / succ_given_lo[0] == pytest.approx(
-        0.4, abs=3 * 0.5 / math.sqrt(succ_given_lo[0]))
+    # an edge succeeds with its law's mean: 0.8 * 0.4 + 0.2 * 0.8
+    assert edge_hits / reps == pytest.approx(0.48, abs=3 * 0.5 / math.sqrt(reps))
 
 
 def test_probability_of_hand_values():
     net = two_node_fixture()  # activation 1.0, budget 1, edge TWO_POINT
-    x = FullRealization([1, 1], [0.4], [1])
-    # P = 1 * 1 * 0.8 * 0.4
-    assert probability_of(net, x) == pytest.approx(math.log(0.8 * 0.4))
-    x = FullRealization([1, 1], [0.8], [0])
-    assert probability_of(net, x) == pytest.approx(math.log(0.2 * 0.2))
+    # P = 1 * 1 * (0.8 * 0.4 + 0.2 * 0.8): the edge succeeds with its mean
+    x = FullRealization(bytes([1, 1]), bytes([1]))
+    assert probability_of(net, x) == pytest.approx(math.log(0.48))
+    x = FullRealization(bytes([1, 1]), bytes([0]))
+    assert probability_of(net, x) == pytest.approx(math.log(0.52))
     # zero-probability coordinate: seeding failure under activation 1.0
-    x = FullRealization([0, 1], [0.4], [1])
+    x = FullRealization(bytes([0, 1]), bytes([1]))
     assert probability_of(net, x) == float("-inf")
-    # unsupported draw value
-    x = FullRealization([1, 1], [0.5], [1])
-    with pytest.raises(ValueError):
-        probability_of(net, x)
 
 
 def test_probability_of_sums_to_one_over_support():
-    # all realizations of a 1-node, 1-edgeless... use a 2-node net, budget 1
+    # every realization of a 2-node net at budget 1
     net = DicNetwork(2, (0.3, 0.6), ((0, 1, TWO_POINT),), 1)
     total = 0.0
     for s0 in (0, 1):
         for s1 in (0, 1):
-            for value in (0.4, 0.8):
-                for succ in (0, 1):
-                    x = FullRealization([s0, s1], [value], [succ])
-                    total += math.exp(probability_of(net, x))
+            for succ in (0, 1):
+                x = FullRealization(bytes([s0, s1]), bytes([succ]))
+                total += math.exp(probability_of(net, x))
     assert total == pytest.approx(1.0, abs=1e-12)

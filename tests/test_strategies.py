@@ -1,5 +1,6 @@
 """Policies, the live-edge world engine, and static selection."""
 
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -72,6 +73,19 @@ def test_bernoulli_positions_continues_past_the_first_batch():
 
     pos = _bernoulli_positions(UnitGaps(), 100, 0.5)
     assert np.array_equal(pos, np.arange(100))
+
+
+def test_bernoulli_positions_peak_is_its_batch():
+    # the gaps are summed in place and the positions are a prefix view of
+    # them, so the peak is the one batch of 1.25x the expected output
+    for total, p in ((2_000_000, 0.01), (200_000, 0.03), (1_000_000, 0.3)):
+        tracemalloc.start()
+        try:
+            pos = _bernoulli_positions(np.random.default_rng(5), total, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pos.nbytes < 1.5, (total, p, peak / pos.nbytes)
 
 
 def test_world_gain_matches_exact_gain():
@@ -568,10 +582,8 @@ def test_runs_keep_limits_and_ignore_unobserved_coordinates(seed):
         assert run.spread == len(active)
         b = net.budget
         z = FullRealization(
-            [(x if j < used[v] else y).seed_bits[v * b + j]
-             for v in range(net.node_count) for j in range(b)],
-            [(x if u in active else y).values[e]
-             for e, (u, _, _) in enumerate(net.edges)],
-            [(x if u in active else y).success[e]
-             for e, (u, _, _) in enumerate(net.edges)])
+            bytes((x if j < used[v] else y).seed_bits[v * b + j]
+                  for v in range(net.node_count) for j in range(b)),
+            bytes((x if u in active else y).success[e]
+                  for e, (u, _, _) in enumerate(net.edges)))
         assert run_policy(net, make(), z) == run
