@@ -12,6 +12,7 @@ and the drained spread after its first c seeds is
 
 from __future__ import annotations
 
+import bisect
 import heapq
 
 import numpy as np
@@ -39,13 +40,25 @@ def _eligible_nodes(net: DicNetwork, active, candidates=None):
 
 class RandomPolicy:
     """Seeds one uniformly random eligible node each round, without waiting
-    for quiescence, until no node is eligible."""
+    for quiescence, until no node is eligible.
+
+    The ascending eligible list is kept between decisions: each decision
+    drops the nodes that turned active since the last one."""
 
     def __init__(self, rng):
         self.rng = rng
+        self._elig = None                # eligible at the last decision
+        self._dropped: set[int] = set()  # the active nodes it leaves out
 
     def decide(self, net, partial):
-        elig = _eligible_nodes(net, partial.active)
+        if self._elig is None:
+            self._elig = list(range(net.node_count))
+        elig = self._elig
+        # the simulator grows one active set in place, so keep a copy
+        newly = partial.active - self._dropped
+        for v in newly:
+            del elig[bisect.bisect_left(elig, v)]
+        self._dropped |= newly
         if not elig:
             return None
         picks = self.rng.choice(elig, size=1, replace=False)
@@ -78,13 +91,18 @@ def static_seed_factory(seeds, rng):
 # live-edge world engine
 #
 # A world is one draw of every edge's single attempt, each edge live with its
-# mean propagation probability, stored as {source: (target, ...)} over the
-# live edges.  Worlds are read-only: their node ints and one-target tuples are
-# shared.  Every greedy strategy scores candidates by how many nodes they
-# reach in a shared batch of worlds (common random numbers).
+# mean propagation probability.  A batch of worlds is drawn as live arrays
+# (rows, edges), rows ascending: edge `edges[i]` is live in world `rows[i]`.
+# Every greedy strategy scores candidates by how many nodes they reach in a
+# shared batch of worlds (common random numbers): `reach_totals` scores all
+# of them at once from the live arrays, and the re-evaluations of single
+# candidates read dict worlds {source: (target, ...)} built from the same
+# arrays.  Dict worlds are read-only: their node ints and one-target tuples
+# are shared.
 # ---------------------------------------------------------------------------
 
-_LIVE_EDGE_SLICE = 4096     # live edges sorted into worlds at a time
+_LIVE_EDGE_SLICE = 4096     # live edges sorted into dict worlds at a time
+_REACH_SLICE = 8192         # live edges whose worlds reach_totals counts at once
 _DRAW_BYTES = 1 << 20       # uniforms static greedy draws at a time
 
 
@@ -111,16 +129,29 @@ def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _worlds_from_live(net: DicNetwork, pieces, replications: int) -> list[dict]:
-    """`replications` worlds from live (rows, edges) array pairs, each with
-    ascending rows: edge `edges[i]` is live in world `rows[i]`.
+def _merge_live(pieces):
+    """One live (rows, edges) pair from pieces that each have ascending
+    rows: a stable sort by row, so each world keeps piece order and the
+    order within a piece.  One piece is used as drawn, with no copy."""
+    pieces = list(pieces) or [(np.empty(0, dtype=np.int64),) * 2]
+    if len(pieces) == 1:
+        return pieces[0]
+    rows = np.concatenate([r for r, _ in pieces])
+    edges = np.concatenate([e for _, e in pieces])
+    del pieces
+    order = np.argsort(rows, kind="stable")
+    return rows[order], edges[order]
 
-    World r is {source: tuple of targets}, each source's targets in piece
-    order and in order within a piece.  Every node is one shared int and
-    every single-target source maps to one shared 1-tuple, so a world costs
-    a dict entry per source and a tuple per source with several targets.
-    The live pairs are stable-sorted by (row, source) one slice of whole
-    worlds, about `_LIVE_EDGE_SLICE` live edges, at a time.
+
+def _worlds_from_live(net: DicNetwork, live, replications: int) -> list[dict]:
+    """`replications` dict worlds from the live (rows, edges) pair.
+
+    World r is {source: tuple of targets}, each source's targets in the
+    order of the live arrays.  Every node is one shared int and every
+    single-target source maps to one shared 1-tuple, so a world costs a dict
+    entry per source and a tuple per source with several targets.  The live
+    pairs are stable-sorted by (row, source) one slice of whole worlds,
+    about `_LIVE_EDGE_SLICE` live edges, at a time.
     """
     n = net.node_count
     src, dst, _ = net.edge_arrays
@@ -128,17 +159,9 @@ def _worlds_from_live(net: DicNetwork, pieces, replications: int) -> list[dict]:
     ids[:] = range(n)
     ones = [(v,) for v in ids]
     worlds: list[dict] = [{} for _ in range(replications)]
-    pieces = [piece for piece in pieces if len(piece[0])]
-    if not pieces:
+    rows, edges = live
+    if not len(rows):
         return worlds
-    if len(pieces) == 1:         # used as drawn: no copy of the whole draw
-        (rows, edges), = pieces
-    else:                        # merge the pieces' ascending runs of rows
-        rows = np.concatenate([r for r, _ in pieces])
-        edges = np.concatenate([e for _, e in pieces])
-        order = np.argsort(rows, kind="stable")
-        rows, edges = rows[order], edges[order]
-    del pieces
     step = max(1, replications * _LIVE_EDGE_SLICE // len(rows))
     cuts = rows.searchsorted(range(0, replications + step, step)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
@@ -164,9 +187,11 @@ def _worlds_from_live(net: DicNetwork, pieces, replications: int) -> list[dict]:
     return worlds
 
 
-def sample_worlds(net: DicNetwork, replications: int, rng) -> list[dict]:
-    """`replications` live-edge worlds, drawn sparsely: one Bernoulli grid
-    per distinct edge mean, on a Philox stream keyed by one draw from rng."""
+def sample_worlds(net: DicNetwork, replications: int, rng):
+    """`replications` live-edge worlds as one live (rows, edges) pair, rows
+    ascending, drawn sparsely: one Bernoulli grid per distinct edge mean, on
+    a Philox stream keyed by one draw from rng.  Within a world the live
+    edges go by ascending mean, then by edge id."""
     seed = int(rng.integers(0, 2 ** 63))
     gen = np.random.Generator(np.random.Philox(key=seed))
     means = net.edge_arrays[2]
@@ -180,7 +205,7 @@ def sample_worlds(net: DicNetwork, replications: int, rng) -> list[dict]:
             edges = group[edges]
             yield rows, edges
 
-    return _worlds_from_live(net, live(), replications)
+    return _merge_live(live())
 
 
 def _reach(adj, v: int, excluded) -> set[int]:
@@ -196,87 +221,142 @@ def _reach(adj, v: int, excluded) -> set[int]:
     return seen
 
 
-_CLOSED = float("inf")      # low-link of a node whose component is finished
+def _search(start, ptr, to, within):
+    """Boolean mask of the nodes of `within` reached from the nodes `start`
+    (which must lie in `within`) over the edges grouped by tail: the heads
+    of node u's edges are `to[ptr[u]:ptr[u + 1]]`.  A breadth-first search
+    from every start node of every world at once."""
+    seen = np.zeros(len(within), dtype=bool)
+    seen[start] = True
+    front = start
+    while len(front):
+        lo = ptr[front]
+        count = ptr[front + 1] - lo
+        ends = np.cumsum(count)
+        heads = to[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
+        heads = heads[within[heads] & ~seen[heads]]
+        fresh = np.zeros_like(seen)
+        fresh[heads] = True
+        seen |= fresh
+        front = np.flatnonzero(fresh)
+    return seen
 
 
-def _reach_sizes(adj, excluded) -> dict[int, int]:
-    """`len(_reach(adj, v, excluded))` for every source v of the world outside
-    `excluded`, from one depth-first pass without recursion.
+def _slice_reaches(n: int, world, s, t):
+    """Reach sizes in one slice of worlds, given as the live edges
+    (world[i], s[i], t[i]) with ascending worlds.
 
-    Tarjan's algorithm closes strongly connected components sinks first, so a
-    component's reach is known when it closes: the bits of its own nodes ORed
-    with the reaches of the components its edges enter (the condensation
-    reach counting of Ohsaka et al., AAAI 2014).  Bit i stands for the i-th
-    node the pass visits.
+    Each (world, node) pair on a live edge gets a compact id and a bit of its
+    world's bitset.  In each world, the strongly connected component of the
+    source with the most live out-edges (its hub) is contracted: every node
+    of it reaches what the hub reaches, found by a forward search, and the
+    component is what of that reaches the hub back.  Then a semi-naive fixed
+    point ORs the reach bitsets of the targets that grew in the last round
+    into their sources, until none grows.  Returns (world, node, reach size
+    - 1) per pair; a node on no live edge of a world reaches itself alone.
     """
-    low: dict[int, int] = {}       # visit order, then lowest order reached
-    bits: dict[int, int] = {}      # reach found so far; final once closed
-    path: list[int] = []           # visited nodes of unfinished components
-    sizes: dict[int, int] = {}
-    for root in adj:
-        if root in low or root in excluded:
-            continue
-        i = len(low)
-        low[root] = i
-        bits[root] = 1 << i
-        path.append(root)
-        stack = [(root, i, iter(adj[root]))]
-        while stack:
-            v, order, succ = stack[-1]
-            for w in succ:
-                if w in excluded:
-                    continue
-                if w not in low:
-                    i = len(low)
-                    bits[w] = 1 << i
-                    if w not in adj:           # a sink is its own component
-                        low[w] = _CLOSED
-                        bits[v] |= bits[w]
-                        continue
-                    low[w] = i
-                    path.append(w)
-                    stack.append((w, i, iter(adj[w])))
-                    break
-                bits[v] |= bits[w]
-                if low[w] < low[v]:
-                    low[v] = low[w]
-            else:
-                stack.pop()
-                if low[v] == order:            # v roots a component: close it
-                    reach = bits[v]
-                    size = reach.bit_count()
-                    while True:
-                        w = path.pop()
-                        low[w] = _CLOSED
-                        bits[w] = reach
-                        sizes[w] = size        # only sources enter the path
-                        if w == v:
-                            break
-                if stack:
-                    u = stack[-1][0]
-                    bits[u] |= bits[v]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-    return sizes
+    worlds = int(world[-1]) + 1
+    key_s, key_t = world * n + s, world * n + t
+    on_edge = np.zeros(worlds * n, dtype=bool)
+    on_edge[key_s] = True
+    on_edge[key_t] = True
+    keys = np.flatnonzero(on_edge)
+    del on_edge
+    pairs = len(keys)
+    pair_id = np.empty(worlds * n, dtype=np.min_scalar_type(pairs))
+    pair_id[keys] = np.arange(pairs)
+    es, et = pair_id[key_s], pair_id[key_t]
+    del pair_id
+    # group the edges by source, and find their order by target: a stable
+    # sort of ids of up to 16 bits is a radix sort
+    order = np.argsort(es, kind="stable")
+    es, et = es[order], et[order]
+    by_head = np.argsort(et, kind="stable")
+    es, et = es.astype(np.intp), et.astype(np.intp)
+    pair_world, node = np.divmod(keys, n)
+    count = np.bincount(pair_world, minlength=worlds)
+    start = np.cumsum(count) - count
+    bit = np.arange(pairs) - start[pair_world]
+    width = (int(count.max()) + 63) // 64        # 64-bit words per bitset
+    reach = np.zeros((pairs, width), dtype=np.uint64)
+    reach[np.arange(pairs), bit >> 6] = np.left_shift(
+        np.uint64(1), (bit & 63).astype(np.uint64))
+
+    # each world's hub, ties to the larger id, and its component
+    degree = np.bincount(es, minlength=pairs)
+    hub = np.maximum.reduceat(degree * pairs + np.arange(pairs),
+                              start[count > 0]) % pairs
+    ptr = np.zeros(pairs + 1, dtype=np.intp)
+    np.cumsum(degree, out=ptr[1:])
+    from_hub = _search(hub, ptr, et, np.ones(pairs, dtype=bool))
+    ptr[1:] = np.cumsum(np.bincount(et, minlength=pairs))
+    component = _search(hub, ptr, es[by_head], from_hub)
+    hub_bits = np.zeros((worlds, width * 64), dtype=bool)
+    hub_bits[pair_world[from_hub], bit[from_hub]] = True
+    hub_bits = np.packbits(hub_bits, axis=1, bitorder="little").view("<u8")
+    reach[component] = hub_bits[pair_world[component]]
+
+    # the fixed point over the other sources' edges
+    outside = ~component[es]
+    es, et = es[outside], et[outside]
+    grew = np.ones(pairs, dtype=bool)
+    while True:
+        take = grew[et]
+        src, gathered = es[take], reach[et[take]]
+        if not len(src):
+            break
+        firsts = np.flatnonzero(np.diff(src, prepend=-1))
+        src = src[firsts]
+        old = reach[src]
+        new = np.bitwise_or.reduceat(gathered, firsts, axis=0)
+        new |= old
+        changed = (new != old).any(axis=1)
+        reach[src[changed]] = new[changed]
+        grew = np.zeros(pairs, dtype=bool)
+        grew[src[changed]] = True
+    size = np.bitwise_count(reach).sum(axis=1, dtype=np.int64)
+    return pair_world, node, size - 1
 
 
-def reach_totals(net: DicNetwork, worlds, active, weight=None) -> list[int]:
-    """For every node v outside `active`, the sum over worlds r of
-    `weight[r, v] * len(_reach(worlds[r], v, active))` (weight 1 when None):
-    the integer that `world_gain`'s loop sums for each candidate, for all
-    candidates at once, in one condensation pass per world."""
+def reach_totals(net: DicNetwork, live, replications: int, active,
+                 weight=None) -> list[int]:
+    """For every node v outside `active`, the sum over the `replications`
+    worlds r of the live (rows, edges) pair of `weight[r, v] *
+    len(_reach(worlds[r], v, active))` (weight 1 when None), where `worlds`
+    are the pair's dict worlds: the integer that `world_gain`'s loop sums for
+    each candidate, for all candidates at once.
+
+    Live edges that touch `active` are dropped, and the rest are counted by
+    `_slice_reaches` one slice of whole worlds, about `_REACH_SLICE` live
+    edges, at a time.
+    """
+    n = net.node_count
+    src, dst, _ = net.edge_arrays
+    rows, edges = live
+    outside = np.ones(n, dtype=bool)
+    outside[list(active)] = False
     if weight is None:
-        totals = [len(worlds)] * net.node_count
-        for adj in worlds:
-            for v, size in _reach_sizes(adj, active).items():
-                totals[v] += size - 1
-        return totals
-    totals = weight.sum(axis=0).tolist()     # every node reaches itself
-    for adj, row in zip(worlds, weight):
-        row = row.tolist()
-        for v, size in _reach_sizes(adj, active).items():
-            totals[v] += row[v] * (size - 1)
-    return totals
+        totals = np.full(n, replications, dtype=np.int64)
+    else:
+        totals = weight.sum(axis=0, dtype=np.int64)   # every node reaches itself
+    # whole worlds of about _REACH_SLICE live edges, and at most
+    # 16 * _REACH_SLICE (world, node) cells for the kernel's map of pairs
+    step = max(1, min(replications * _REACH_SLICE // max(1, len(rows)),
+                      16 * _REACH_SLICE // n))
+    cuts = rows.searchsorted(range(0, replications + step, step)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = edges[lo:hi]
+        s, t = src[part], dst[part]
+        kept = outside[s] & outside[t]
+        if not kept.any():
+            continue
+        first = int(rows[lo])
+        world, node, extra = _slice_reaches(
+            n, rows[lo:hi][kept] - first, s[kept], t[kept])
+        if weight is not None:
+            extra *= weight[world + first, node]
+        totals += np.bincount(node, extra, n).astype(np.int64)
+    return totals.tolist()
 
 
 def world_gain(net: DicNetwork, worlds, v: int, active) -> float:
@@ -345,17 +425,19 @@ class AGreedyPolicy:
         if self.candidates <= active:            # every candidate is active
             return None
         if self._worlds is None:
-            self._worlds = sample_worlds(self.net, self.replications, self.rng)
+            reps = self.replications
+            live = sample_worlds(self.net, reps, self.rng)
             if self.celf:
                 # one kernel pass scores the whole first fill; re-evaluations
-                # of single candidates use world_gain
+                # of single candidates use world_gain on dict worlds
                 elig = _eligible_nodes(net, active, self.candidates)
-                totals = reach_totals(self.net, self._worlds, active)
+                totals = reach_totals(self.net, live, reps, active)
                 self.gain_evaluations += len(elig)
-                act, reps = self.net.activation, len(self._worlds)
+                act = self.net.activation
                 self._heap = [(-(act[v] * totals[v] / reps), v, 0)
                               for v in elig]
                 heapq.heapify(self._heap)
+            self._worlds = _worlds_from_live(self.net, live, reps)
         if self.celf:
             # the heap holds candidates only, so an ineligible one is active
             chosen, gain = _lazy_forward(
@@ -380,9 +462,9 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     Returns (candidate set, stats) where stats carries the per-node
     estimates, the population mean/std, and the pruned fraction.
     """
-    worlds = sample_worlds(net, pre_replications, rng)
-    totals = reach_totals(net, worlds, frozenset())
-    estimates = tuple(net.activation[v] * totals[v] / len(worlds)
+    live = sample_worlds(net, pre_replications, rng)
+    totals = reach_totals(net, live, pre_replications, frozenset())
+    estimates = tuple(net.activation[v] * totals[v] / pre_replications
                       for v in range(net.node_count))
     mu = float(np.mean(estimates))
     sigma = float(np.std(estimates))
@@ -417,37 +499,44 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     """
     n = net.node_count
     pieces = []
-    for lo, live in _draw_below(rng, replications, net.edge_arrays[2]):
-        rows, edges = np.nonzero(live)
+    for lo, block in _draw_below(rng, replications, net.edge_arrays[2]):
+        rows, edges = np.nonzero(block)
         pieces.append((rows + lo, edges))
-    worlds = _worlds_from_live(net, pieces, replications)
+    live = _merge_live(pieces)
     del pieces
     success = np.empty((replications, n), dtype=bool)
     for lo, block in _draw_below(rng, replications, np.array(net.activation)):
         success[lo:lo + len(block)] = block
+    totals = reach_totals(net, live, replications, (), weight=success)
+    worlds = _worlds_from_live(net, live, replications)
+    del live
     covered: list[set[int]] = [set() for _ in range(replications)]
-    evaluations = 0
-
-    def new_reaches(v: int):
-        """(world, nodes v adds to that world's covered set) per world where
-        v's seeding succeeds and v is not covered yet."""
-        for r in np.flatnonzero(success[:, v]).tolist():
-            if v not in covered[r]:
-                yield r, _reach(worlds[r], v, covered[r])
+    evaluations = n
+    best = None     # (heap key, new reaches) of the round's best evaluation
 
     def evaluate(v: int) -> float:
-        nonlocal evaluations
+        """v's mean addition to the covered sets, over the worlds where its
+        seeding succeeds and it is not covered yet."""
+        nonlocal evaluations, best
         evaluations += 1
-        return sum(len(reached) for _, reached in new_reaches(v)) / replications
+        reaches = [(r, _reach(worlds[r], v, covered[r]))
+                   for r in np.flatnonzero(success[:, v]).tolist()
+                   if v not in covered[r]]
+        gain = sum(len(reached) for _, reached in reaches) / replications
+        if best is None or (-gain, v) < best[0]:
+            best = (-gain, v), reaches
+        return gain
 
-    totals = reach_totals(net, worlds, (), weight=success)
-    evaluations += n
     heap = [(-(totals[v] / replications), v, 0) for v in range(n)]
     heapq.heapify(heap)
     picked: list[int] = []
     for round_no in range(1, min(budget, n) + 1):
+        best = None
         v, _ = _lazy_forward(heap, round_no, evaluate)
+        # the pick is the top entry scored this round, and every entry scored
+        # this round stays queued until popped, so it is the round's best
+        # evaluation; the covered sets have not changed since it
         picked.append(v)
-        for r, reached in new_reaches(v):
+        for r, reached in best[1]:
             covered[r] |= reached
     return picked, evaluations

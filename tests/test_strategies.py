@@ -21,8 +21,9 @@ from dicnet.oracle import exact_marginal_gain
 from dicnet.realization import FullRealization, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
                                StaticSeedListPolicy, _bernoulli_positions,
-                               _draw_below, _reach, _worlds_from_live,
-                               h_greedy_prune, observably_quiescent,
+                               _draw_below, _eligible_nodes, _merge_live,
+                               _reach, _worlds_from_live, h_greedy_prune,
+                               observably_quiescent,
                                reach_totals, sample_worlds,
                                static_greedy_select, world_gain)
 
@@ -32,6 +33,12 @@ def _edgeless(n, activation, budget):
     return DicNetwork(n, acts, (), budget)
 
 
+def _dict_worlds(net, replications, rng):
+    """The dict worlds of `sample_worlds`' live arrays."""
+    return _worlds_from_live(net, sample_worlds(net, replications, rng),
+                             replications)
+
+
 def test_random_policy_respects_budget_and_eligibility():
     net = _edgeless(3, 0.0, 3)          # every attempt fails
     x = sample_full(net, np.random.default_rng(4))
@@ -39,6 +46,36 @@ def test_random_policy_respects_budget_and_eligibility():
     run = run_policy(net, policy, x)
     assert len(run.seeds) == 3
     assert run.spread == 0
+
+
+class _ScanningRandomPolicy:
+    """RandomPolicy as it was, scanning every node at every decision."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def decide(self, net, partial):
+        elig = _eligible_nodes(net, partial.active)
+        if not elig:
+            return None
+        picks = self.rng.choice(elig, size=1, replace=False)
+        return frozenset(int(v) for v in picks)
+
+
+def test_random_policy_keeps_the_draws_of_a_full_scan():
+    # the eligible list kept between decisions, with the newly active nodes
+    # dropped, is the list a fresh scan gives, so every draw is unchanged:
+    # on tiny nets and on a net whose cascades activate nodes mid-run
+    nets = [random_tiny_network(np.random.default_rng(s), max_nodes=5,
+                                budget=3) for s in range(20)]
+    nets.append(generate_power_law(300, 3000, 5, parse_preset("f1:0.3"), 20))
+    for i, net in enumerate(nets):
+        x = sample_full(net, np.random.default_rng(i))
+        kept = run_policy(net, RandomPolicy(np.random.default_rng(i)), x)
+        scan = run_policy(net, _ScanningRandomPolicy(np.random.default_rng(i)),
+                          x)
+        assert kept == scan
+    assert kept.spread > len(kept.seeds)        # cascades did run
 
 
 def test_static_seed_list_truncates_to_remaining_budget():
@@ -90,7 +127,7 @@ def test_bernoulli_positions_peak_is_its_batch():
 
 def test_world_gain_matches_exact_gain():
     net = two_node_fixture()
-    worlds = sample_worlds(net, 40000, np.random.default_rng(9))
+    worlds = _dict_worlds(net, 40000, np.random.default_rng(9))
     assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(1.48, abs=0.02)
     assert world_gain(net, worlds, 1, frozenset()) == pytest.approx(1.0, abs=1e-12)
     # conditioning: with node 0 active the edge cannot carry the cascade
@@ -101,13 +138,13 @@ def test_world_gain_on_chain():
     net = chain_network(4, 0.5, activation=0.8, budget=1)
     exact = exact_marginal_gain(net, frozenset(), 0)
     assert exact == pytest.approx(0.8 * (1 + 0.5 + 0.25 + 0.125), abs=1e-12)
-    worlds = sample_worlds(net, 40000, np.random.default_rng(10))
+    worlds = _dict_worlds(net, 40000, np.random.default_rng(10))
     assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(exact, abs=0.03)
 
 
 def test_world_gain_conditions_on_the_active_set():
     net = chain_network(3, 0.5, activation=0.8, budget=1)
-    worlds = sample_worlds(net, 40000, np.random.default_rng(11))
+    worlds = _dict_worlds(net, 40000, np.random.default_rng(11))
     est = world_gain(net, worlds, 0, frozenset())
     assert est == pytest.approx(0.8 * (1 + 0.5 + 0.25), abs=0.03)
     # conditioned: node 1 already active, so seeding 0 gains only itself
@@ -116,9 +153,12 @@ def test_world_gain_conditions_on_the_active_set():
 
 def test_sample_worlds_is_deterministic_and_sparse():
     net = star_network(5, 0.3, activation=1.0, budget=1)
-    a = sample_worlds(net, 500, np.random.default_rng(12))
-    b = sample_worlds(net, 500, np.random.default_rng(12))
-    assert a == b and len(a) == 500
+    live = sample_worlds(net, 500, np.random.default_rng(12))
+    again = sample_worlds(net, 500, np.random.default_rng(12))
+    assert all(np.array_equal(x, y) for x, y in zip(live, again))
+    assert np.all(np.diff(live[0]) >= 0) and live[0].max() < 500
+    a = _worlds_from_live(net, live, 500)
+    assert len(a) == 500
     # only the hub has out-edges, and each leaf appears at most once
     assert all(set(adj) <= {0} for adj in a)
     lists = [adj[0] for adj in a if adj]
@@ -126,7 +166,7 @@ def test_sample_worlds_is_deterministic_and_sparse():
                for ws in lists)
     live = sum(len(ws) for ws in lists)
     assert abs(live - 750) < 4 * np.sqrt(2500 * 0.3 * 0.7)
-    assert sample_worlds(_edgeless(3, 1.0, 1), 4, np.random.default_rng(0)) == [{}] * 4
+    assert _dict_worlds(_edgeless(3, 1.0, 1), 4, np.random.default_rng(0)) == [{}] * 4
 
 
 def _appended_worlds(net, pieces, replications):
@@ -206,8 +246,8 @@ def test_world_builder_matches_the_per_edge_reference(seed, slice_edges):
     net = DicNetwork(n, (0.5,) * n, edges, 1)
     replications = int(rng.integers(1, 30))
     with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE", slice_edges):
-        assert (_as_lists(sample_worlds(net, replications,
-                                        np.random.default_rng(seed)))
+        assert (_as_lists(_dict_worlds(net, replications,
+                                       np.random.default_rng(seed)))
                 == _reference_sample_worlds(net, replications,
                                             np.random.default_rng(seed)))
         assert (_as_lists(_static_greedy_worlds(net, replications,
@@ -228,11 +268,11 @@ def test_world_builder_keeps_piece_order_across_empty_worlds():
     for slice_edges in (1, 2, 4096):
         with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE",
                                slice_edges):
-            worlds = _worlds_from_live(net, pieces, 6)
+            worlds = _worlds_from_live(net, _merge_live(pieces), 6)
         assert _as_lists(worlds) == _appended_worlds(net, pieces, 6)
         assert worlds[2] == {0: (3, 1), 3: (0,)} and worlds[1] == {}
         assert worlds[4] == worlds[5] == {}
-    assert _worlds_from_live(net, [], 3) == [{}, {}, {}]
+    assert _worlds_from_live(net, _merge_live([]), 3) == [{}, {}, {}]
 
 
 def test_world_builder_sorts_keys_wider_than_16_bits():
@@ -240,7 +280,7 @@ def test_world_builder_sorts_keys_wider_than_16_bits():
     # 2**16, so they sort as 32-bit keys, not by radix
     net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 1)
     with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE", 1 << 20):
-        worlds = sample_worlds(net, 300, np.random.default_rng(6))
+        worlds = _dict_worlds(net, 300, np.random.default_rng(6))
     assert _as_lists(worlds) == _reference_sample_worlds(
         net, 300, np.random.default_rng(6))
 
@@ -250,7 +290,7 @@ def test_worlds_share_node_ints_and_one_target_tuples():
     # source and target is the same int object wherever it appears, and
     # every single-target source maps to the same 1-tuple for its target
     net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 1)
-    for worlds in (sample_worlds(net, 40, np.random.default_rng(3)),
+    for worlds in (_dict_worlds(net, 40, np.random.default_rng(3)),
                    _static_greedy_worlds(net, 40, np.random.default_rng(4))):
         nodes, ones = {}, {}
         for adj in worlds:
@@ -340,7 +380,7 @@ def test_h_greedy_prune_estimates_are_world_gains():
     # the prune scores each node by world_gain on worlds drawn from its rng
     net = star_network(4, 0.4, activation=0.7, budget=1)
     _, stats = h_greedy_prune(net, 300, np.random.default_rng(25))
-    worlds = sample_worlds(net, 300, np.random.default_rng(25))
+    worlds = _dict_worlds(net, 300, np.random.default_rng(25))
     assert stats["estimates"] == tuple(
         world_gain(net, worlds, v, frozenset()) for v in range(5))
 
@@ -433,7 +473,7 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=4, budget=2)
     replications, delta = 4000, 1e-6
-    worlds = sample_worlds(net, replications, rng)
+    worlds = _dict_worlds(net, replications, rng)
     hw = half_width(net.node_count, replications, delta)
     checked = []
 
@@ -458,16 +498,18 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
     # the all-candidates kernel sums, for every node outside the active set,
-    # the reach world_gain's loop sums, at every state an a-greedy run and a
-    # random run reach; weighted by seeding successes it gives each node
-    # static greedy's first score
+    # the reach world_gain's loop sums over the dict worlds of the same live
+    # arrays, at every state an a-greedy run and a random run reach;
+    # weighted by seeding successes it gives each node static greedy's
+    # first score
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
-    worlds = sample_worlds(net, 60, rng)
+    live = sample_worlds(net, 60, rng)
+    worlds = _worlds_from_live(net, live, 60)
 
     def check(state):
         active = state.partial.active
-        totals = reach_totals(net, worlds, active)
+        totals = reach_totals(net, live, 60, active)
         for v in range(net.node_count):
             if v in active:
                 continue
@@ -480,11 +522,12 @@ def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
         _run_checking_states(net, policy, sample_full(net, rng), check)
 
     replications = 40
-    live = rng.random((replications, len(net.edges))) < net.edge_arrays[2]
+    live = np.nonzero(rng.random((replications, len(net.edges)))
+                      < net.edge_arrays[2])
     success = (rng.random((replications, net.node_count))
                < np.array(net.activation))
-    static_worlds = _worlds_from_live(net, [np.nonzero(live)], replications)
-    totals = reach_totals(net, static_worlds, (), weight=success)
+    static_worlds = _worlds_from_live(net, live, replications)
+    totals = reach_totals(net, live, replications, (), weight=success)
     for v in range(net.node_count):
         evaluate = sum(len(_reach(static_worlds[r], v, set()))
                        for r in np.flatnonzero(success[:, v]).tolist())
@@ -498,20 +541,72 @@ def test_reach_totals_on_dense_worlds_with_cycles(seed):
     # components and excluded nodes inside cycles, which tiny nets rarely do
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
-    worlds = []
-    for _ in range(5):
-        adj = {}
-        for u in range(n):
-            for w in range(n):
-                if u != w and rng.random() < 0.3:
-                    adj.setdefault(u, []).append(w)
-        worlds.append(adj)
+    net = DicNetwork(n, (1.0,) * n, tuple(
+        (u, w, fixed_distribution(0.3))
+        for u in range(n) for w in range(n) if u != w), 1)
+    live = np.nonzero(rng.random((5, len(net.edges))) < 0.3)
+    worlds = _worlds_from_live(net, live, 5)
     excluded = {v for v in range(n) if rng.random() < 0.2}
-    net = DicNetwork(n, (1.0,) * n, (), 1)
-    totals = reach_totals(net, worlds, excluded)
+    totals = reach_totals(net, live, 5, excluded)
     for v in set(range(n)) - excluded:
         assert totals[v] == sum(len(_reach(adj, v, excluded))
                                 for adj in worlds)
+
+
+def _kernel_case(rng, shape):
+    """(net, live arrays, replications) of one shape of worlds: `sparse`
+    and `dense` draw random worlds of up to 40 nodes, several strongly
+    connected components each; in `wide` every world has a ring through its
+    65 to 160 nodes, and world 0 has all of it live, so its bitsets take
+    more than one word.  Some worlds are left empty, the last one among
+    them at times."""
+    if shape == "wide":
+        n = int(rng.integers(65, 161))
+        ring = [(u, (u + 1) % n) for u in range(n)]
+        chords = [(int(u), int(w)) for u, w in rng.integers(0, n, (2 * n, 2))
+                  if u != w and w != (u + 1) % n]
+        pairs = list(dict.fromkeys(ring + chords))
+        p_live = 0.9
+    else:
+        n = int(rng.integers(1, 41))
+        density = 0.15 if shape == "sparse" else 0.8
+        pairs = [(u, w) for u in range(n) for w in range(n)
+                 if u != w and rng.random() < density]
+        p_live = 0.3
+    net = DicNetwork(n, (0.5,) * n, tuple(
+        (u, w, fixed_distribution(0.5)) for u, w in pairs), 1)
+    replications = int(rng.integers(1, 13))
+    live = rng.random((replications, len(pairs))) < p_live
+    live[rng.random(replications) < 0.25] = False
+    if shape == "wide":
+        live[0, :n] = True
+    return net, np.nonzero(live), replications
+
+
+@pytest.mark.parametrize("shape", ["sparse", "dense", "wide"])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reach_totals_match_reach_on_every_shape_of_world(shape, seed):
+    # the kernel against _reach summed over the dict worlds of the same live
+    # arrays, with excluded nodes (inside cycles too), without and with a
+    # weight matrix; slices of one world and of all worlds give equal totals
+    rng = np.random.default_rng(seed)
+    net, live, replications = _kernel_case(rng, shape)
+    n = net.node_count
+    worlds = _worlds_from_live(net, live, replications)
+    excluded = frozenset(v for v in range(n) if rng.random() < 0.2)
+    weight = rng.integers(0, 4, (replications, n))
+    for w in (None, weight):
+        want = [sum((1 if w is None else int(w[r, v]))
+                    * len(_reach(adj, v, excluded))
+                    for r, adj in enumerate(worlds))
+                for v in range(n)]
+        for slice_edges in (1, 1 << 20):
+            with mock.patch.object(dicnet.strategies, "_REACH_SLICE",
+                                   slice_edges):
+                totals = reach_totals(net, live, replications, excluded, w)
+            assert [t for v, t in enumerate(totals) if v not in excluded] \
+                == [t for v, t in enumerate(want) if v not in excluded]
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
