@@ -49,7 +49,8 @@ def test_random_policy_respects_budget_and_eligibility():
 
 
 class _ScanningRandomPolicy:
-    """RandomPolicy as it was, scanning every node at every decision."""
+    """The random rule by a fresh scan of every node at every decision:
+    the reference for RandomPolicy's kept eligible list."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -153,11 +154,11 @@ def test_world_gain_conditions_on_the_active_set():
 
 def test_sample_worlds_is_deterministic_and_sparse():
     net = star_network(5, 0.3, activation=1.0, budget=1)
-    live = sample_worlds(net, 500, np.random.default_rng(12))
+    drawn = sample_worlds(net, 500, np.random.default_rng(12))
     again = sample_worlds(net, 500, np.random.default_rng(12))
-    assert all(np.array_equal(x, y) for x, y in zip(live, again))
-    assert np.all(np.diff(live[0]) >= 0) and live[0].max() < 500
-    a = _worlds_from_live(net, live, 500)
+    assert all(np.array_equal(x, y) for x, y in zip(drawn, again))
+    assert np.all(np.diff(drawn[0]) >= 0) and drawn[0].max() < 500
+    a = _worlds_from_live(net, drawn, 500)
     assert len(a) == 500
     # only the hub has out-edges, and each leaf appears at most once
     assert all(set(adj) <= {0} for adj in a)
