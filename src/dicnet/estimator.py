@@ -20,7 +20,7 @@ import numpy as np
 from .diffusion import run_policy
 from .model import DicNetwork
 from .realization import map_uniforms, sample_full
-from .strategies import static_seed_factory
+from .strategies import _flat_keys, _flat_reach, static_seed_factory
 
 # purpose tags keep the world stream and the policy's own stream independent
 PURPOSE_WORLD = 0
@@ -154,12 +154,11 @@ def _static_spread_total(net: DicNetwork, seeds, master_seed: int,
     needs no round-by-round driver.  Each replication's uniforms come from
     its own world stream, as `sample_full` draws them, into one row of a
     block; each block is mapped once and every row's reach is counted by one
-    frontier loop over the block's live (row, edge) pairs.
+    search of the block's flat keys from the roots whose seeding succeeded.
     """
     n, b = net.node_count, net.budget
     width = n * b + 2 * len(net.edges)
     roots = np.array(sorted(set(seeds[:b])), dtype=np.intp)
-    src, dst, _ = net.edge_arrays
     pool = _StreamPool(master_seed)
     block = np.empty((max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * width))),
                       width))
@@ -169,23 +168,10 @@ def _static_spread_total(net: DicNetwork, seeds, master_seed: int,
         for row, i in zip(u, range(lo, stop)):
             pool.get(i, PURPOSE_WORLD).random(out=row)
         bits, success = map_uniforms(net, u)
-        active = np.zeros((len(u), n), dtype=bool)
-        active[:, roots] = bits[:, roots * b]
-        active = active.ravel()
-        row, edge = np.nonzero(success)
-        tail = row * n + src[edge]            # flat (row, node) of each end
-        head = row * n + dst[edge]
-        frontier = active                     # the successful roots
-        while True:
-            fire = frontier[tail] & ~active[head]
-            if not fire.any():
-                break
-            frontier = np.zeros_like(active)
-            frontier[head[fire]] = True
-            active |= frontier
-            keep = ~active[head]              # pairs that can still fire
-            tail, head = tail[keep], head[keep]
-        total += int(np.count_nonzero(active))
+        worlds = (*_flat_keys(net, np.nonzero(success), len(u)),
+                  np.zeros(len(u) * n, dtype=bool))
+        world, root = np.nonzero(bits[:, roots * b])
+        total += len(_flat_reach(worlds, world * n + roots[root]))
     return total
 
 

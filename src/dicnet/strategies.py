@@ -96,12 +96,11 @@ def static_seed_factory(seeds, rng):
 # Every greedy strategy scores candidates by how many nodes they reach in a
 # shared batch of worlds (common random numbers): `reach_totals` scores all
 # of them at once from the live arrays, and the re-evaluations of single
-# candidates read dict worlds {source: (target, ...)} built from the same
-# arrays.  Dict worlds are read-only: their node ints and one-target tuples
-# are shared.
+# candidates search the same batch as flat keys (`_flat_keys`), node u of
+# world r being the key r * n + u, with a flag array of R * n keys that
+# marks the keys a search may not enter.
 # ---------------------------------------------------------------------------
 
-_LIVE_EDGE_SLICE = 4096     # live edges sorted into dict worlds at a time
 _REACH_SLICE = 8192         # live edges whose worlds reach_totals counts at once
 _DRAW_BYTES = 1 << 20       # uniforms static greedy draws at a time
 
@@ -143,48 +142,23 @@ def _merge_live(pieces):
     return rows[order], edges[order]
 
 
-def _worlds_from_live(net: DicNetwork, live, replications: int) -> list[dict]:
-    """`replications` dict worlds from the live (rows, edges) pair.
-
-    World r is {source: tuple of targets}, each source's targets in the
-    order of the live arrays.  Every node is one shared int and every
-    single-target source maps to one shared 1-tuple, so a world costs a dict
-    entry per source and a tuple per source with several targets.  The live
-    pairs are stable-sorted by (row, source) one slice of whole worlds,
-    about `_LIVE_EDGE_SLICE` live edges, at a time.
-    """
+def _flat_keys(net: DicNetwork, live, replications: int):
+    """The live (rows, edges) pair as flat keys (tail, head), stable-sorted
+    by tail: live edge i runs from key `rows[i] * n + source` to key
+    `rows[i] * n + target`.  The keys are int32 while replications * n <
+    2**31 and int64 past it, and are built in place in that type: the sort's
+    order is their only whole-batch int64 temporary."""
     n = net.node_count
     src, dst, _ = net.edge_arrays
-    ids = np.empty(n, dtype=object)
-    ids[:] = range(n)
-    ones = [(v,) for v in ids]
-    worlds: list[dict] = [{} for _ in range(replications)]
     rows, edges = live
-    if not len(rows):
-        return worlds
-    step = max(1, replications * _LIVE_EDGE_SLICE // len(rows))
-    cuts = rows.searchsorted(range(0, replications + step, step)).tolist()
-    for lo, hi in zip(cuts, cuts[1:]):
-        if lo == hi:
-            continue
-        first = int(rows[lo])
-        part = edges[lo:hi]
-        key = (rows[lo:hi] - first) * n + src[part]
-        # sort the keys as the smallest unsigned type that holds them: numpy's
-        # stable sort is a radix sort for keys of up to 16 bits
-        order = np.argsort(key.astype(np.min_scalar_type(key.max())),
-                           kind="stable")
-        key = key[order]
-        targets = ids[dst[part[order]]].tolist()
-        heads = np.flatnonzero(np.diff(key, prepend=-1))
-        bounds = heads.tolist()
-        bounds.append(len(key))
-        world, source = np.divmod(key[heads], n)
-        for r, u, i, j in zip((world + first).tolist(), ids[source].tolist(),
-                              bounds, bounds[1:]):
-            worlds[r][u] = (ones[targets[i]] if j - i == 1
-                            else tuple(targets[i:j]))
-    return worlds
+    dtype = np.int32 if replications * n < 2 ** 31 else np.int64
+    tail = np.empty(len(rows), dtype=dtype)
+    np.multiply(rows, n, out=tail, casting="unsafe")
+    head = tail.copy()
+    tail += src.astype(dtype)[edges]
+    head += dst.astype(dtype)[edges]
+    order = np.argsort(tail, kind="stable")
+    return tail[order], head[order]
 
 
 def sample_worlds(net: DicNetwork, replications: int, rng):
@@ -208,17 +182,27 @@ def sample_worlds(net: DicNetwork, replications: int, rng):
     return _merge_live(live())
 
 
-def _reach(adj, v: int, excluded) -> set[int]:
-    """Nodes reachable from v over the world's live edges without entering
-    a node of `excluded` (v included)."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen and w not in excluded:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _flat_reach(worlds, front) -> np.ndarray:
+    """The keys reached from the distinct keys `front` over the live edges of
+    `worlds` = (tail, head, flags), `front` included, without entering a
+    key flagged in `flags`; no key of `front` may be flagged.  A
+    level-synchronous search of every world at once: each level's new keys
+    are flagged while it runs, and every key it flagged is cleared before it
+    returns, so `flags` is left as found."""
+    tail, head, flags = worlds
+    front = np.asarray(front).astype(tail.dtype, copy=False)
+    reached = []
+    while len(front):
+        flags[front] = True
+        reached.append(front)
+        lo = tail.searchsorted(front)
+        count = tail.searchsorted(front, "right") - lo
+        ends = np.cumsum(count)
+        heads = head[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
+        front = np.unique(heads[~flags[heads]])
+    keys = np.concatenate([front, *reached])
+    flags[keys] = False
+    return keys
 
 
 def _search(start, ptr, to, within):
@@ -321,10 +305,10 @@ def _slice_reaches(n: int, world, s, t):
 def reach_totals(net: DicNetwork, live, replications: int, active,
                  weight=None) -> list[int]:
     """For every node v outside `active`, the sum over the `replications`
-    worlds r of the live (rows, edges) pair of `weight[r, v] *
-    len(_reach(worlds[r], v, active))` (weight 1 when None), where `worlds`
-    are the pair's dict worlds: the integer that `world_gain`'s loop sums for
-    each candidate, for all candidates at once.
+    worlds r of the live (rows, edges) pair of `weight[r, v]` (1 when None)
+    times the number of nodes v reaches in world r without entering a node
+    of `active`, v included: the integer that `world_gain` counts for each
+    candidate, for all candidates at once.
 
     Live edges that touch `active` are dropped, and the rest are counted by
     `_slice_reaches` one slice of whole worlds, about `_REACH_SLICE` live
@@ -359,20 +343,21 @@ def reach_totals(net: DicNetwork, live, replications: int, active,
     return totals.tolist()
 
 
-def world_gain(net: DicNetwork, worlds, v: int, active) -> float:
-    """Estimated conditional marginal gain of seeding v now: its activation
-    probability times the mean number of inactive nodes it reaches per world
-    (v included).
+def world_gain(net: DicNetwork, worlds, v: int) -> float:
+    """Estimated conditional marginal gain of seeding v now, in the batch
+    `worlds` = (tail, head, flags) of `_flat_keys` and flags whose set keys
+    are the active nodes of every world: v's activation probability times
+    the mean number of inactive nodes it reaches per world (v included).
 
     Conditioning on the active set alone is exact.  An edge's single attempt
     is made by its source while that source is in the frontier, and draws are
     revealed only on out-edges of active nodes; a reach that never enters an
     active node therefore never meets an observed edge.
     """
-    total = 0
-    for adj in worlds:
-        total += len(_reach(adj, v, active)) if v in adj else 1
-    return net.activation[v] * total / len(worlds)
+    n = net.node_count
+    size = len(worlds[2])
+    total = len(_flat_reach(worlds, np.arange(v, size, n)))
+    return net.activation[v] * total / (size // n)
 
 
 def _lazy_forward(heap, stamp: int, score, excluded=()):
@@ -412,11 +397,12 @@ class AGreedyPolicy:
         self.step = 0
         self.gain_evaluations = 0
         self._heap: list = []          # (-gain, node, stamp)
-        self._worlds = None
+        self._worlds = None            # (tail, head, flags) of the batch
+        self._flagged: set[int] = set()  # the active nodes flagged in it
 
-    def _gain(self, v, active):
+    def _gain(self, v):
         self.gain_evaluations += 1
-        return world_gain(self.net, self._worlds, v, active)
+        return world_gain(self.net, self._worlds, v)
 
     def decide(self, net, partial):
         if not observably_quiescent(net, partial):
@@ -429,7 +415,7 @@ class AGreedyPolicy:
             live = sample_worlds(self.net, reps, self.rng)
             if self.celf:
                 # one kernel pass scores the whole first fill; re-evaluations
-                # of single candidates use world_gain on dict worlds
+                # of single candidates search the batch's flat keys
                 elig = _eligible_nodes(net, active, self.candidates)
                 totals = reach_totals(self.net, live, reps, active)
                 self.gain_evaluations += len(elig)
@@ -437,18 +423,26 @@ class AGreedyPolicy:
                 self._heap = [(-(act[v] * totals[v] / reps), v, 0)
                               for v in elig]
                 heapq.heapify(self._heap)
-            self._worlds = _worlds_from_live(self.net, live, reps)
+            self._worlds = (*_flat_keys(self.net, live, reps),
+                            np.zeros(reps * net.node_count, dtype=bool))
+        # flag the nodes that turned active since the last decision in every
+        # world; the simulator grows one active set in place, so keep a copy
+        flags, n = self._worlds[2], net.node_count
+        newly = active - self._flagged
+        for u in newly:
+            flags[u::n] = True
+        self._flagged |= newly
         if self.celf:
             # the heap holds candidates only, so an ineligible one is active
-            chosen, gain = _lazy_forward(
-                self._heap, self.step, lambda v: self._gain(v, active), active)
+            chosen, gain = _lazy_forward(self._heap, self.step, self._gain,
+                                         active)
             # keep the chosen node queued with its latest gain for later steps
             heapq.heappush(self._heap, (-gain, chosen, self.step))
         else:
             chosen, best = None, -1.0
             # ascending ids: ties go to the smallest
             for v in _eligible_nodes(net, active, self.candidates):
-                g = self._gain(v, active)
+                g = self._gain(v)
                 if g > best:
                     chosen, best = v, g
         self.step += 1
@@ -508,23 +502,22 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     for lo, block in _draw_below(rng, replications, np.array(net.activation)):
         success[lo:lo + len(block)] = block
     totals = reach_totals(net, live, replications, (), weight=success)
-    worlds = _worlds_from_live(net, live, replications)
+    covered = np.zeros(replications * n, dtype=bool)    # the picks' reach
+    worlds = (*_flat_keys(net, live, replications), covered)
     del live
-    covered: list[set[int]] = [set() for _ in range(replications)]
     evaluations = n
-    best = None     # (heap key, new reaches) of the round's best evaluation
+    best = None     # (heap key, keys reached) of the round's best evaluation
 
     def evaluate(v: int) -> float:
-        """v's mean addition to the covered sets, over the worlds where its
+        """v's mean addition to the covered keys, over the worlds where its
         seeding succeeds and it is not covered yet."""
         nonlocal evaluations, best
         evaluations += 1
-        reaches = [(r, _reach(worlds[r], v, covered[r]))
-                   for r in np.flatnonzero(success[:, v]).tolist()
-                   if v not in covered[r]]
-        gain = sum(len(reached) for _, reached in reaches) / replications
+        start = np.flatnonzero(success[:, v]) * n + v
+        reached = _flat_reach(worlds, start[~covered[start]])
+        gain = len(reached) / replications
         if best is None or (-gain, v) < best[0]:
-            best = (-gain, v), reaches
+            best = (-gain, v), reached
         return gain
 
     heap = [(-(totals[v] / replications), v, 0) for v in range(n)]
@@ -535,8 +528,7 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
         v, _ = _lazy_forward(heap, round_no, evaluate)
         # the pick is the top entry scored this round, and every entry scored
         # this round stays queued until popped, so it is the round's best
-        # evaluation; the covered sets have not changed since it
+        # evaluation; the covered keys have not changed since it
         picked.append(v)
-        for r, reached in best[1]:
-            covered[r] |= reached
+        covered[best[1]] = True
     return picked, evaluations

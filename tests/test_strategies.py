@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import dicnet.diffusion
 import dicnet.strategies
 from dicnet.data import generate_power_law, parse_preset
-from dicnet.diffusion import run_policy
+from dicnet.diffusion import EMPTY_COMMAND, run_policy
 from dicnet.estimator import half_width
 from dicnet.fixtures import (chain_network, random_tiny_network, star_network,
                              two_node_fixture)
@@ -21,8 +21,8 @@ from dicnet.oracle import exact_marginal_gain
 from dicnet.realization import FullRealization, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
                                StaticSeedListPolicy, _bernoulli_positions,
-                               _draw_below, _eligible_nodes, _merge_live,
-                               _reach, _worlds_from_live, h_greedy_prune,
+                               _draw_below, _eligible_nodes, _flat_keys,
+                               _flat_reach, _merge_live, h_greedy_prune,
                                observably_quiescent,
                                reach_totals, sample_worlds,
                                static_greedy_select, world_gain)
@@ -33,10 +33,53 @@ def _edgeless(n, activation, budget):
     return DicNetwork(n, acts, (), budget)
 
 
-def _dict_worlds(net, replications, rng):
-    """The dict worlds of `sample_worlds`' live arrays."""
-    return _worlds_from_live(net, sample_worlds(net, replications, rng),
-                             replications)
+def _reach(adj, v: int, excluded) -> set[int]:
+    """Nodes reachable from v over a dict world's live edges without
+    entering a node of `excluded` (v included): the depth-first reference
+    for the flat search and the kernel."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen and w not in excluded:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _appended_worlds(net, pieces, replications):
+    """The reference dict worlds {source: [targets]} of live (rows, edges)
+    pieces: live edge `edges[i]` appended to world `rows[i]`'s list for its
+    source, piece after piece."""
+    src, dst, _ = net.edge_arrays
+    worlds = [{} for _ in range(replications)]
+    for rows, edges in pieces:
+        for r, u, w in zip(rows.tolist(), src[edges].tolist(),
+                           dst[edges].tolist()):
+            worlds[r].setdefault(u, []).append(w)
+    return worlds
+
+
+def _dict_worlds(net, live, replications):
+    """The reference dict worlds of one live (rows, edges) pair."""
+    return _appended_worlds(net, [live], replications)
+
+
+def _flat_worlds(net, live, replications):
+    """The flat batch (tail, head, flags) of live arrays, nothing flagged."""
+    return (*_flat_keys(net, live, replications),
+            np.zeros(replications * net.node_count, dtype=bool))
+
+
+def _gain(net, worlds, v, active):
+    """`world_gain` with the nodes of `active` flagged in every world, and
+    the flags cleared again."""
+    columns = worlds[2].reshape(-1, net.node_count)
+    columns[:, sorted(active)] = True
+    try:
+        return world_gain(net, worlds, v)
+    finally:
+        columns[:, sorted(active)] = False
 
 
 def test_random_policy_respects_budget_and_eligibility():
@@ -128,28 +171,31 @@ def test_bernoulli_positions_peak_is_its_batch():
 
 def test_world_gain_matches_exact_gain():
     net = two_node_fixture()
-    worlds = _dict_worlds(net, 40000, np.random.default_rng(9))
-    assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(1.48, abs=0.02)
-    assert world_gain(net, worlds, 1, frozenset()) == pytest.approx(1.0, abs=1e-12)
+    worlds = _flat_worlds(
+        net, sample_worlds(net, 40000, np.random.default_rng(9)), 40000)
+    assert world_gain(net, worlds, 0) == pytest.approx(1.48, abs=0.02)
+    assert world_gain(net, worlds, 1) == pytest.approx(1.0, abs=1e-12)
     # conditioning: with node 0 active the edge cannot carry the cascade
-    assert world_gain(net, worlds, 1, {0}) == pytest.approx(1.0, abs=1e-12)
+    assert _gain(net, worlds, 1, {0}) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_world_gain_on_chain():
     net = chain_network(4, 0.5, activation=0.8, budget=1)
     exact = exact_marginal_gain(net, frozenset(), 0)
     assert exact == pytest.approx(0.8 * (1 + 0.5 + 0.25 + 0.125), abs=1e-12)
-    worlds = _dict_worlds(net, 40000, np.random.default_rng(10))
-    assert world_gain(net, worlds, 0, frozenset()) == pytest.approx(exact, abs=0.03)
+    worlds = _flat_worlds(
+        net, sample_worlds(net, 40000, np.random.default_rng(10)), 40000)
+    assert world_gain(net, worlds, 0) == pytest.approx(exact, abs=0.03)
 
 
 def test_world_gain_conditions_on_the_active_set():
     net = chain_network(3, 0.5, activation=0.8, budget=1)
-    worlds = _dict_worlds(net, 40000, np.random.default_rng(11))
-    est = world_gain(net, worlds, 0, frozenset())
+    worlds = _flat_worlds(
+        net, sample_worlds(net, 40000, np.random.default_rng(11)), 40000)
+    est = world_gain(net, worlds, 0)
     assert est == pytest.approx(0.8 * (1 + 0.5 + 0.25), abs=0.03)
     # conditioned: node 1 already active, so seeding 0 gains only itself
-    assert world_gain(net, worlds, 0, {1}) == pytest.approx(0.8, abs=1e-12)
+    assert _gain(net, worlds, 0, {1}) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_sample_worlds_is_deterministic_and_sparse():
@@ -158,7 +204,7 @@ def test_sample_worlds_is_deterministic_and_sparse():
     again = sample_worlds(net, 500, np.random.default_rng(12))
     assert all(np.array_equal(x, y) for x, y in zip(drawn, again))
     assert np.all(np.diff(drawn[0]) >= 0) and drawn[0].max() < 500
-    a = _worlds_from_live(net, drawn, 500)
+    a = _dict_worlds(net, drawn, 500)
     assert len(a) == 500
     # only the hub has out-edges, and each leaf appears at most once
     assert all(set(adj) <= {0} for adj in a)
@@ -167,20 +213,9 @@ def test_sample_worlds_is_deterministic_and_sparse():
                for ws in lists)
     live = sum(len(ws) for ws in lists)
     assert abs(live - 750) < 4 * np.sqrt(2500 * 0.3 * 0.7)
-    assert _dict_worlds(_edgeless(3, 1.0, 1), 4, np.random.default_rng(0)) == [{}] * 4
-
-
-def _appended_worlds(net, pieces, replications):
-    """The per-edge builder the sorted one replaced, frozen as a reference:
-    live edge `edges[i]` appended to world `rows[i]`'s list for its source,
-    piece after piece."""
-    src, dst, _ = net.edge_arrays
-    worlds = [{} for _ in range(replications)]
-    for rows, edges in pieces:
-        for r, u, w in zip(rows.tolist(), src[edges].tolist(),
-                           dst[edges].tolist()):
-            worlds[r].setdefault(u, []).append(w)
-    return worlds
+    edgeless = _edgeless(3, 1.0, 1)
+    assert _dict_worlds(edgeless, sample_worlds(
+        edgeless, 4, np.random.default_rng(0)), 4) == [{}] * 4
 
 
 def _reference_sample_worlds(net, replications, rng):
@@ -207,23 +242,18 @@ def _reference_static_worlds(net, replications, rng):
     return _appended_worlds(net, pieces, replications)
 
 
-def _static_greedy_worlds(net, replications, rng):
-    """The worlds `static_greedy_select` builds from rng."""
-    built = []
-    build = dicnet.strategies._worlds_from_live
+def _static_greedy_live(net, replications, rng):
+    """The live arrays `static_greedy_select` draws from rng."""
+    drawn = []
+    keys = dicnet.strategies._flat_keys
 
-    def keep(*args):
-        built.append(build(*args))
-        return built[-1]
+    def keep(net, live, replications):
+        drawn.append(live)
+        return keys(net, live, replications)
 
-    with mock.patch.object(dicnet.strategies, "_worlds_from_live", keep):
+    with mock.patch.object(dicnet.strategies, "_flat_keys", keep):
         static_greedy_select(net, 1, replications, rng)
-    return built[0]
-
-
-def _as_lists(worlds):
-    assert all(type(ts) is tuple for adj in worlds for ts in adj.values())
-    return [{u: list(ts) for u, ts in adj.items()} for adj in worlds]
+    return drawn[0]
 
 
 _MIXED_LAWS = (parse_preset("f3:0.1,0.01,0.001").distribution,
@@ -232,13 +262,14 @@ _MIXED_LAWS = (parse_preset("f3:0.1,0.01,0.001").distribution,
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
-def test_world_builder_matches_the_per_edge_reference(seed, slice_edges):
-    # both samplers' worlds equal the frozen per-edge builder's, with each
-    # source's targets in the same order, on nets whose edges mix an f3
-    # preset's law with per-edge laws of other means (several law groups),
-    # on edgeless nets, and on sparse draws that leave worlds empty between
-    # non-empty ones and at the end; small slices cut the sort into many
+@given(st.integers(0, 2 ** 32 - 1))
+def test_world_builder_matches_the_per_edge_reference(seed):
+    # both samplers' live arrays, read in order, give the worlds of the
+    # per-edge reference over their pieces, with each source's targets in
+    # the same order, on nets whose edges mix an f3 preset's law with
+    # per-edge laws of other means (several law groups), on edgeless nets,
+    # and on sparse draws that leave worlds empty between non-empty ones and
+    # at the end
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     edges = tuple((u, v, _MIXED_LAWS[int(rng.integers(len(_MIXED_LAWS)))])
@@ -246,68 +277,104 @@ def test_world_builder_matches_the_per_edge_reference(seed, slice_edges):
                   if u != v and rng.random() < 0.5)
     net = DicNetwork(n, (0.5,) * n, edges, 1)
     replications = int(rng.integers(1, 30))
-    with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE", slice_edges):
-        assert (_as_lists(_dict_worlds(net, replications,
-                                       np.random.default_rng(seed)))
-                == _reference_sample_worlds(net, replications,
-                                            np.random.default_rng(seed)))
-        assert (_as_lists(_static_greedy_worlds(net, replications,
-                                                np.random.default_rng(seed)))
-                == _reference_static_worlds(net, replications,
-                                            np.random.default_rng(seed)))
+    drawn = sample_worlds(net, replications, np.random.default_rng(seed))
+    assert (_dict_worlds(net, drawn, replications)
+            == _reference_sample_worlds(net, replications,
+                                        np.random.default_rng(seed)))
+    drawn = _static_greedy_live(net, replications, np.random.default_rng(seed))
+    assert (_dict_worlds(net, drawn, replications)
+            == _reference_static_worlds(net, replications,
+                                        np.random.default_rng(seed)))
 
 
 def test_world_builder_keeps_piece_order_across_empty_worlds():
     # two pieces whose rows interleave, with a source hit by both in world
     # 2: its targets keep piece order, not edge order; worlds 1, 4 and 5
-    # stay empty
+    # stay empty; the flat keys list each world's sources in ascending
+    # order, each source's targets in the order of the live arrays
     net = DicNetwork(4, (0.5,) * 4, tuple(
         (u, v, fixed_distribution(0.5)) for u, v in
         ((0, 1), (0, 2), (0, 3), (2, 1), (3, 0))), 1)
     pieces = [(np.array([0, 2, 2, 3]), np.array([1, 2, 4, 3])),
               (np.array([0, 2, 3]), np.array([3, 0, 4]))]
-    for slice_edges in (1, 2, 4096):
-        with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE",
-                               slice_edges):
-            worlds = _worlds_from_live(net, _merge_live(pieces), 6)
-        assert _as_lists(worlds) == _appended_worlds(net, pieces, 6)
-        assert worlds[2] == {0: (3, 1), 3: (0,)} and worlds[1] == {}
-        assert worlds[4] == worlds[5] == {}
-    assert _worlds_from_live(net, _merge_live([]), 3) == [{}, {}, {}]
+    merged = _merge_live(pieces)
+    worlds = _dict_worlds(net, merged, 6)
+    assert worlds == _appended_worlds(net, pieces, 6)
+    assert worlds[2] == {0: [3, 1], 3: [0]} and worlds[1] == {}
+    assert worlds[4] == worlds[5] == {}
+    tail, head = _flat_keys(net, merged, 6)
+    assert list(zip(tail.tolist(), head.tolist())) == [
+        (r * 4 + u, r * 4 + w) for r, adj in enumerate(worlds)
+        for u in sorted(adj) for w in adj[u]]
+    assert _dict_worlds(net, _merge_live([]), 3) == [{}, {}, {}]
 
 
-def test_world_builder_sorts_keys_wider_than_16_bits():
-    # one slice of 300 worlds of 300 nodes: its (world, source) keys pass
-    # 2**16, so they sort as 32-bit keys, not by radix
-    net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 1)
-    with mock.patch.object(dicnet.strategies, "_LIVE_EDGE_SLICE", 1 << 20):
-        worlds = _dict_worlds(net, 300, np.random.default_rng(6))
-    assert _as_lists(worlds) == _reference_sample_worlds(
-        net, 300, np.random.default_rng(6))
+class _KeySet:
+    """Flags held as a set of keys, for batches whose replications * n
+    keys are too many for a flag array."""
+
+    def __init__(self, keys=()):
+        self.keys = set(keys)
+
+    def __getitem__(self, keys):
+        keys = np.asarray(keys)
+        return np.fromiter((k in self.keys for k in keys.tolist()), bool,
+                           keys.size)
+
+    def __setitem__(self, keys, value):
+        keys = np.asarray(keys).ravel().tolist()
+        if value:
+            self.keys.update(keys)
+        else:
+            self.keys.difference_update(keys)
 
 
-def test_worlds_share_node_ints_and_one_target_tuples():
-    # nodes above 256, so no id is one of CPython's cached small ints: every
-    # source and target is the same int object wherever it appears, and
-    # every single-target source maps to the same 1-tuple for its target
-    net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 1)
-    for worlds in (_dict_worlds(net, 40, np.random.default_rng(3)),
-                   _static_greedy_worlds(net, 40, np.random.default_rng(4))):
-        nodes, ones = {}, {}
-        for adj in worlds:
-            for u, targets in adj.items():
-                for v in (u, *targets):
-                    assert nodes.setdefault(v, v) is v
-                if len(targets) == 1:
-                    assert ones.setdefault(targets, targets) is targets
-        assert max(nodes) > 256 and len(ones) > 100
+def _flagged(flags):
+    return (frozenset(flags.keys) if isinstance(flags, _KeySet)
+            else np.flatnonzero(flags).tolist())
+
+
+def _check_flat_search(net, live, replications, flags, nodes=None):
+    """From each node's unflagged keys, the flat search of every world at
+    once reaches exactly the keys of the nodes `_reach` reaches from it in
+    each reference dict world without entering a flagged node (so its count
+    is their summed sizes), and it leaves `flags` as it found them."""
+    n = net.node_count
+    worlds = (*_flat_keys(net, live, replications), flags)
+    adjs = _dict_worlds(net, live, replications)
+    flagged = _flagged(flags)
+    excluded = {r: {w for ws in adjs[r].values() for w in ws
+                    if flags[[r * n + w]][0]}
+                for r in set(live[0].tolist())}
+    for v in range(n) if nodes is None else nodes:
+        start = np.arange(v, replications * n, n)
+        start = start[~flags[start]]
+        got = _flat_reach(worlds, start)
+        want = set(start.tolist())
+        for key in start[np.isin(start // n, live[0])].tolist():
+            r = key // n
+            want |= {r * n + w for w in _reach(adjs[r], v, excluded[r])}
+        assert len(got) == len(want) and set(got.tolist()) == want, v
+        assert _flagged(flags) == flagged
+    return worlds
 
 
 def test_reach_stops_at_excluded_nodes():
-    adj = {0: [1, 2], 1: [3], 2: [3], 3: [4]}
+    # one world: a flagged node stops the search as the reference's
+    # excluded set does
+    net = DicNetwork(5, (0.5,) * 5, tuple(
+        (u, w, fixed_distribution(0.5))
+        for u, w in ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4))), 1)
+    live = (np.zeros(5, dtype=np.int64), np.arange(5))
+    adj = _dict_worlds(net, live, 1)[0]
     assert _reach(adj, 0, ()) == {0, 1, 2, 3, 4}
     assert _reach(adj, 0, {3}) == {0, 1, 2}
     assert _reach(adj, 4, ()) == {4}
+    for excluded in ((), (3,)):
+        flags = np.zeros(5, dtype=bool)
+        flags[list(excluded)] = True
+        worlds = _check_flat_search(net, live, 1, flags)
+    assert sorted(_flat_reach(worlds, [0]).tolist()) == [0, 1, 2]
 
 
 def test_a_greedy_prefers_the_hub():
@@ -381,9 +448,10 @@ def test_h_greedy_prune_estimates_are_world_gains():
     # the prune scores each node by world_gain on worlds drawn from its rng
     net = star_network(4, 0.4, activation=0.7, budget=1)
     _, stats = h_greedy_prune(net, 300, np.random.default_rng(25))
-    worlds = _dict_worlds(net, 300, np.random.default_rng(25))
-    assert stats["estimates"] == tuple(
-        world_gain(net, worlds, v, frozenset()) for v in range(5))
+    worlds = _flat_worlds(
+        net, sample_worlds(net, 300, np.random.default_rng(25)), 300)
+    assert stats["estimates"] == tuple(world_gain(net, worlds, v)
+                                       for v in range(5))
 
 
 def test_static_greedy_select_orders_by_activation():
@@ -474,7 +542,8 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=4, budget=2)
     replications, delta = 4000, 1e-6
-    worlds = _dict_worlds(net, replications, rng)
+    worlds = _flat_worlds(net, sample_worlds(net, replications, rng),
+                          replications)
     hw = half_width(net.node_count, replications, delta)
     checked = []
 
@@ -484,7 +553,7 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
         for v in range(net.node_count):
             if v in active:
                 continue
-            est = world_gain(net, worlds, v, active)
+            est = _gain(net, worlds, v, active)
             assert abs(est - exact_marginal_gain(net, active, v)) <= hw
         checked.append(len(state.trace))
 
@@ -499,14 +568,15 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
     # the all-candidates kernel sums, for every node outside the active set,
-    # the reach world_gain's loop sums over the dict worlds of the same live
-    # arrays, at every state an a-greedy run and a random run reach;
-    # weighted by seeding successes it gives each node static greedy's
-    # first score
+    # the reach _reach finds over the dict worlds of the same live arrays,
+    # and world_gain turns it into the same float, at every state an
+    # a-greedy run and a random run reach; weighted by seeding successes it
+    # gives each node static greedy's first score
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
     live = sample_worlds(net, 60, rng)
-    worlds = _worlds_from_live(net, live, 60)
+    worlds = _dict_worlds(net, live, 60)
+    flat = _flat_worlds(net, live, 60)
 
     def check(state):
         active = state.partial.active
@@ -517,7 +587,7 @@ def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
             assert totals[v] == sum(len(_reach(adj, v, active))
                                     for adj in worlds)
             assert (net.activation[v] * totals[v] / len(worlds)
-                    == world_gain(net, worlds, v, active))
+                    == _gain(net, flat, v, active))
 
     for policy in (AGreedyPolicy(net, 60, rng), RandomPolicy(rng)):
         _run_checking_states(net, policy, sample_full(net, rng), check)
@@ -527,7 +597,7 @@ def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
                       < net.edge_arrays[2])
     success = (rng.random((replications, net.node_count))
                < np.array(net.activation))
-    static_worlds = _worlds_from_live(net, live, replications)
+    static_worlds = _dict_worlds(net, live, replications)
     totals = reach_totals(net, live, replications, (), weight=success)
     for v in range(net.node_count):
         evaluate = sum(len(_reach(static_worlds[r], v, set()))
@@ -546,7 +616,7 @@ def test_reach_totals_on_dense_worlds_with_cycles(seed):
         (u, w, fixed_distribution(0.3))
         for u in range(n) for w in range(n) if u != w), 1)
     live = np.nonzero(rng.random((5, len(net.edges))) < 0.3)
-    worlds = _worlds_from_live(net, live, 5)
+    worlds = _dict_worlds(net, live, 5)
     excluded = {v for v in range(n) if rng.random() < 0.2}
     totals = reach_totals(net, live, 5, excluded)
     for v in set(range(n)) - excluded:
@@ -594,7 +664,7 @@ def test_reach_totals_match_reach_on_every_shape_of_world(shape, seed):
     rng = np.random.default_rng(seed)
     net, live, replications = _kernel_case(rng, shape)
     n = net.node_count
-    worlds = _worlds_from_live(net, live, replications)
+    worlds = _dict_worlds(net, live, replications)
     excluded = frozenset(v for v in range(n) if rng.random() < 0.2)
     weight = rng.integers(0, 4, (replications, n))
     for w in (None, weight):
@@ -610,19 +680,84 @@ def test_reach_totals_match_reach_on_every_shape_of_world(shape, seed):
                 == [t for v, t in enumerate(want) if v not in excluded]
 
 
+@pytest.mark.parametrize("shape", ["sparse", "dense", "wide", "past-int32"])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_search_matches_reach_on_every_shape_of_world(shape, seed):
+    # the search from every node against _reach over the dict worlds of the
+    # same live arrays: with nothing flagged, with active nodes flagged in
+    # every world, and with covered keys flagged world by world.  In
+    # `past-int32` a sparse case's worlds and nodes are the last ones of a
+    # batch of replications * n >= 2**31 keys, which need int64; its flags
+    # are a set of keys, so no replications * n array is allocated
+    rng = np.random.default_rng(seed)
+    net, live, replications = _kernel_case(
+        rng, "sparse" if shape == "past-int32" else shape)
+    n = nodes = net.node_count
+    flags = np.zeros(replications * n, dtype=bool)
+    if shape == "past-int32":
+        shift, n = 2 ** 21 - nodes, 2 ** 21
+        net = DicNetwork(n, (0.5,) * n, tuple(
+            (u + shift, w + shift, law) for u, w, law in net.edges), 1)
+        live = (live[0] + 2 ** 10, live[1])
+        replications += 2 ** 10
+        flags = _KeySet()
+    checked = np.arange(n - nodes, n)
+    _check_flat_search(net, live, replications, flags, checked)
+    active = checked[rng.random(nodes) < 0.2]
+    flags[np.add.outer(np.arange(replications) * n, active).ravel()] = True
+    _check_flat_search(net, live, replications, flags, checked)
+    keys = np.add.outer(np.unique(live[0]) * n, checked).ravel()
+    flags[keys[rng.random(len(keys)) < 0.2]] = True
+    _check_flat_search(net, live, replications, flags, checked)
+
+
+class _ReferenceGreedy:
+    """Adaptive greedy as an exhaustive argmax, ties to the smallest id, of
+    each eligible node's gain summed by `_reach` over the reference dict
+    worlds of the batch AGreedyPolicy draws from the same rng."""
+
+    def __init__(self, replications, rng):
+        self.replications = replications
+        self.rng = rng
+        self.worlds = None
+
+    def decide(self, net, partial):
+        if not partial.quiescent:
+            return EMPTY_COMMAND
+        elig = _eligible_nodes(net, partial.active)
+        if not elig:
+            return None
+        reps = self.replications
+        if self.worlds is None:
+            self.worlds = _dict_worlds(net, sample_worlds(net, reps, self.rng),
+                                       reps)
+
+        def gain(v):
+            total = sum(len(_reach(adj, v, partial.active))
+                        for adj in self.worlds)
+            return net.activation[v] * total / reps
+
+        return frozenset({max(elig, key=gain)})
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_lazy_queues_match_exhaustive_argmax(seed):
     # the lazy-forward queue re-scores every stale entry before trusting
     # it, so both greedy selections equal an exhaustive argmax on the same
-    # worlds, ties to the smallest id
+    # worlds, ties to the smallest id; a-greedy's flags condition each gain
+    # on the active set as the reference's excluded set does
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
     draw = int(rng.integers(2 ** 32))
     x = sample_full(net, rng)
     lazy = AGreedyPolicy(net, 60, np.random.default_rng(draw))
     full = AGreedyPolicy(net, 60, np.random.default_rng(draw), celf=False)
-    assert run_policy(net, lazy, x).trace == run_policy(net, full, x).trace
+    reference = _ReferenceGreedy(60, np.random.default_rng(draw))
+    trace = run_policy(net, reference, x).trace
+    assert run_policy(net, lazy, x).trace == trace
+    assert run_policy(net, full, x).trace == trace
 
     # static greedy: rebuild its live edges and seeding successes from the
     # same draws, then pick the node whose addition covers the most
