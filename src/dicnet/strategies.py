@@ -199,7 +199,10 @@ def _flat_reach(worlds, front) -> np.ndarray:
         count = tail.searchsorted(front, "right") - lo
         ends = np.cumsum(count)
         heads = head[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
-        front = np.unique(heads[~flags[heads]])
+        # a sort, not np.unique: its hash table's first call maps about
+        # 1.5 MB more of numpy's code into the process
+        heads = np.sort(heads[~flags[heads]])
+        front = heads[np.diff(heads, prepend=-1) != 0]
     keys = np.concatenate([front, *reached])
     flags[keys] = False
     return keys

@@ -313,8 +313,8 @@ class _KeySet:
     """Flags held as a set of keys, for batches whose replications * n
     keys are too many for a flag array."""
 
-    def __init__(self, keys=()):
-        self.keys = set(keys)
+    def __init__(self):
+        self.keys = set()
 
     def __getitem__(self, keys):
         keys = np.asarray(keys)
