@@ -97,8 +97,9 @@ def static_seed_factory(seeds, rng):
 # shared batch of worlds (common random numbers): `reach_totals` scores all
 # of them at once from the live arrays, and the re-evaluations of single
 # candidates search the same batch as flat keys (`_flat_keys`), node u of
-# world r being the key r * n + u, with a flag array of R * n keys that
-# marks the keys a search may not enter.
+# world r being the key r * n + u, with one flag byte per key: bit 0 marks
+# a key a search may not enter (set with `|= 1`, tested with `& 1`), and
+# bit 1, set once when the batch is built, a key with a live out-edge.
 # ---------------------------------------------------------------------------
 
 _REACH_SLICE = 8192         # live edges whose worlds reach_totals counts at once
@@ -143,11 +144,13 @@ def _merge_live(pieces):
 
 
 def _flat_keys(net: DicNetwork, live, replications: int):
-    """The live (rows, edges) pair as flat keys (tail, head), stable-sorted
-    by tail: live edge i runs from key `rows[i] * n + source` to key
-    `rows[i] * n + target`.  The keys are int32 while replications * n <
-    2**31 and int64 past it, and are built in place in that type: the sort's
-    order is their only whole-batch int64 temporary."""
+    """The live (rows, edges) pair as the batch (tail, head, flags): flat
+    keys stable-sorted by tail, live edge i running from key
+    `rows[i] * n + source` to key `rows[i] * n + target`, and a uint8 flag
+    per key with bit 1 set on the keys of `tail` and nothing else.  The keys
+    are int32 while replications * n < 2**31 and int64 past it, and are
+    built in place in that type: the sort's order is their only whole-batch
+    int64 temporary, freed before the flags are allocated."""
     n = net.node_count
     src, dst, _ = net.edge_arrays
     rows, edges = live
@@ -158,7 +161,11 @@ def _flat_keys(net: DicNetwork, live, replications: int):
     tail += src.astype(dtype)[edges]
     head += dst.astype(dtype)[edges]
     order = np.argsort(tail, kind="stable")
-    return tail[order], head[order]
+    tail, head = tail[order], head[order]
+    del order
+    flags = np.zeros(replications * n, dtype=np.uint8)
+    flags[tail] = 2
+    return tail, head, flags
 
 
 def sample_worlds(net: DicNetwork, replications: int, rng):
@@ -185,26 +192,33 @@ def sample_worlds(net: DicNetwork, replications: int, rng):
 def _flat_reach(worlds, front) -> np.ndarray:
     """The keys reached from the distinct keys `front` over the live edges of
     `worlds` = (tail, head, flags), `front` included, without entering a
-    key flagged in `flags`; no key of `front` may be flagged.  A
-    level-synchronous search of every world at once: each level's new keys
-    are flagged while it runs, and every key it flagged is cleared before it
-    returns, so `flags` is left as found."""
+    key whose bit 0 is set in `flags`; no key of `front` may have it set.  A
+    level-synchronous search of every world at once: each level's keys get
+    bit 0 while it runs, only those with bit 1 are searched in `tail`, and
+    bit 0 alone is cleared on every key it entered before it returns, so
+    every byte of `flags` is left as found."""
     tail, head, flags = worlds
     front = np.asarray(front).astype(tail.dtype, copy=False)
     reached = []
     while len(front):
-        flags[front] = True
+        bits = flags[front]
+        flags[front] = bits | 1
         reached.append(front)
+        front = front[bits > 1]         # the keys with a live out-edge
         lo = tail.searchsorted(front)
         count = tail.searchsorted(front, "right") - lo
-        ends = np.cumsum(count)
-        heads = head[np.arange(ends[-1]) + np.repeat(lo - ends + count, count)]
+        at = np.repeat(lo - np.cumsum(count) + count, count)
+        at += np.arange(len(at))
+        heads = head[at]
         # a sort, not np.unique: its hash table's first call maps about
         # 1.5 MB more of numpy's code into the process
-        heads = np.sort(heads[~flags[heads]])
-        front = heads[np.diff(heads, prepend=-1) != 0]
+        heads = np.sort(heads[(flags[heads] & 1) == 0])
+        first = np.empty(len(heads), dtype=bool)     # not a repeat
+        first[:1] = True
+        np.not_equal(heads[1:], heads[:-1], out=first[1:])
+        front = heads[first]
     keys = np.concatenate([front, *reached])
-    flags[keys] = False
+    flags[keys] &= 0xFE
     return keys
 
 
@@ -348,9 +362,10 @@ def reach_totals(net: DicNetwork, live, replications: int, active,
 
 def world_gain(net: DicNetwork, worlds, v: int) -> float:
     """Estimated conditional marginal gain of seeding v now, in the batch
-    `worlds` = (tail, head, flags) of `_flat_keys` and flags whose set keys
-    are the active nodes of every world: v's activation probability times
-    the mean number of inactive nodes it reaches per world (v included).
+    `worlds` = (tail, head, flags) of `_flat_keys` with bit 0 set on the
+    keys of the active nodes of every world and no other: v's activation
+    probability times the mean number of inactive nodes it reaches per world
+    (v included).
 
     Conditioning on the active set alone is exact.  An edge's single attempt
     is made by its source while that source is in the frontier, and draws are
@@ -426,14 +441,13 @@ class AGreedyPolicy:
                 self._heap = [(-(act[v] * totals[v] / reps), v, 0)
                               for v in elig]
                 heapq.heapify(self._heap)
-            self._worlds = (*_flat_keys(self.net, live, reps),
-                            np.zeros(reps * net.node_count, dtype=bool))
+            self._worlds = _flat_keys(self.net, live, reps)
         # flag the nodes that turned active since the last decision in every
         # world; the simulator grows one active set in place, so keep a copy
         flags, n = self._worlds[2], net.node_count
         newly = active - self._flagged
         for u in newly:
-            flags[u::n] = True
+            flags[u::n] |= 1
         self._flagged |= newly
         if self.celf:
             # the heap holds candidates only, so an ineligible one is active
@@ -505,8 +519,8 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     for lo, block in _draw_below(rng, replications, np.array(net.activation)):
         success[lo:lo + len(block)] = block
     totals = reach_totals(net, live, replications, (), weight=success)
-    covered = np.zeros(replications * n, dtype=bool)    # the picks' reach
-    worlds = (*_flat_keys(net, live, replications), covered)
+    worlds = _flat_keys(net, live, replications)
+    covered = worlds[2]         # bit 0: the picks' reach
     del live
     evaluations = n
     best = None     # (heap key, keys reached) of the round's best evaluation
@@ -517,7 +531,7 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
         nonlocal evaluations, best
         evaluations += 1
         start = np.flatnonzero(success[:, v]) * n + v
-        reached = _flat_reach(worlds, start[~covered[start]])
+        reached = _flat_reach(worlds, start[(covered[start] & 1) == 0])
         gain = len(reached) / replications
         if best is None or (-gain, v) < best[0]:
             best = (-gain, v), reached
@@ -533,5 +547,5 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
         # this round stays queued until popped, so it is the round's best
         # evaluation; the covered keys have not changed since it
         picked.append(v)
-        covered[best[1]] = True
+        covered[best[1]] |= 1
     return picked, evaluations

@@ -66,20 +66,24 @@ def _dict_worlds(net, live, replications):
 
 
 def _flat_worlds(net, live, replications):
-    """The flat batch (tail, head, flags) of live arrays, nothing flagged."""
-    return (*_flat_keys(net, live, replications),
-            np.zeros(replications * net.node_count, dtype=bool))
+    """The flat batch (tail, head, flags) of live arrays, nothing flagged;
+    past 2**31 keys its flags are a `_KeySet`, so no replications * n array
+    is allocated."""
+    if replications * net.node_count < 2 ** 31:
+        return _flat_keys(net, live, replications)
+    with mock.patch.object(np, "zeros", lambda size, dtype: _KeySet()):
+        return _flat_keys(net, live, replications)
 
 
 def _gain(net, worlds, v, active):
-    """`world_gain` with the nodes of `active` flagged in every world, and
-    the flags cleared again."""
+    """`world_gain` with bit 0 set on the nodes of `active` in every world,
+    and cleared again."""
     columns = worlds[2].reshape(-1, net.node_count)
-    columns[:, sorted(active)] = True
+    columns[:, sorted(active)] |= 1
     try:
         return world_gain(net, worlds, v)
     finally:
-        columns[:, sorted(active)] = False
+        columns[:, sorted(active)] &= 0xFE
 
 
 def test_random_policy_respects_budget_and_eligibility():
@@ -291,7 +295,8 @@ def test_world_builder_keeps_piece_order_across_empty_worlds():
     # two pieces whose rows interleave, with a source hit by both in world
     # 2: its targets keep piece order, not edge order; worlds 1, 4 and 5
     # stay empty; the flat keys list each world's sources in ascending
-    # order, each source's targets in the order of the live arrays
+    # order, each source's targets in the order of the live arrays, and the
+    # flag bytes carry bit 1 on those sources' keys alone
     net = DicNetwork(4, (0.5,) * 4, tuple(
         (u, v, fixed_distribution(0.5)) for u, v in
         ((0, 1), (0, 2), (0, 3), (2, 1), (3, 0))), 1)
@@ -302,61 +307,71 @@ def test_world_builder_keeps_piece_order_across_empty_worlds():
     assert worlds == _appended_worlds(net, pieces, 6)
     assert worlds[2] == {0: [3, 1], 3: [0]} and worlds[1] == {}
     assert worlds[4] == worlds[5] == {}
-    tail, head = _flat_keys(net, merged, 6)
+    tail, head, flags = _flat_keys(net, merged, 6)
     assert list(zip(tail.tolist(), head.tolist())) == [
         (r * 4 + u, r * 4 + w) for r, adj in enumerate(worlds)
         for u in sorted(adj) for w in adj[u]]
+    assert flags.dtype == np.uint8 and len(flags) == 6 * 4
+    assert np.flatnonzero(flags).tolist() == [
+        r * 4 + u for r, adj in enumerate(worlds) for u in sorted(adj)]
+    assert set(flags.tolist()) == {0, 2}
     assert _dict_worlds(net, _merge_live([]), 3) == [{}, {}, {}]
 
 
 class _KeySet:
-    """Flags held as a set of keys, for batches whose replications * n
-    keys are too many for a flag array."""
+    """A flag byte per key held as a dict of the keys whose byte is not 0,
+    for batches whose replications * n keys are too many for a flag
+    array."""
 
     def __init__(self):
-        self.keys = set()
+        self.bytes = {}
 
     def __getitem__(self, keys):
         keys = np.asarray(keys)
-        return np.fromiter((k in self.keys for k in keys.tolist()), bool,
-                           keys.size)
+        return np.fromiter((self.bytes.get(k, 0) for k in keys.tolist()),
+                           np.uint8, keys.size)
 
-    def __setitem__(self, keys, value):
-        keys = np.asarray(keys).ravel().tolist()
-        if value:
-            self.keys.update(keys)
-        else:
-            self.keys.difference_update(keys)
-
-
-def _flagged(flags):
-    return (frozenset(flags.keys) if isinstance(flags, _KeySet)
-            else np.flatnonzero(flags).tolist())
+    def __setitem__(self, keys, values):
+        keys = np.asarray(keys).ravel()
+        values = np.broadcast_to(values, keys.shape).tolist()
+        for k, b in zip(keys.tolist(), values):
+            if b:
+                self.bytes[k] = b
+            else:
+                self.bytes.pop(k, None)
 
 
-def _check_flat_search(net, live, replications, flags, nodes=None):
-    """From each node's unflagged keys, the flat search of every world at
-    once reaches exactly the keys of the nodes `_reach` reaches from it in
-    each reference dict world without entering a flagged node (so its count
-    is their summed sizes), and it leaves `flags` as it found them."""
+def _flag_bytes(flags):
+    """{key: byte} of every key whose flag byte is not 0."""
+    if isinstance(flags, _KeySet):
+        return dict(flags.bytes)
+    keys = np.flatnonzero(flags)
+    return dict(zip(keys.tolist(), flags[keys].tolist()))
+
+
+def _check_flat_search(net, live, replications, worlds, nodes=None):
+    """From each node's keys without bit 0, the flat search of the batch
+    `worlds` of `live` reaches exactly the keys of the nodes `_reach`
+    reaches from it in each reference dict world without entering a node
+    whose bit 0 is set (so its count is their summed sizes), and it leaves
+    every flag byte, both bits, as it found it."""
     n = net.node_count
-    worlds = (*_flat_keys(net, live, replications), flags)
+    flags = worlds[2]
     adjs = _dict_worlds(net, live, replications)
-    flagged = _flagged(flags)
+    found = _flag_bytes(flags)
     excluded = {r: {w for ws in adjs[r].values() for w in ws
-                    if flags[[r * n + w]][0]}
+                    if flags[[r * n + w]][0] & 1}
                 for r in set(live[0].tolist())}
     for v in range(n) if nodes is None else nodes:
         start = np.arange(v, replications * n, n)
-        start = start[~flags[start]]
+        start = start[(flags[start] & 1) == 0]
         got = _flat_reach(worlds, start)
         want = set(start.tolist())
         for key in start[np.isin(start // n, live[0])].tolist():
             r = key // n
             want |= {r * n + w for w in _reach(adjs[r], v, excluded[r])}
         assert len(got) == len(want) and set(got.tolist()) == want, v
-        assert _flagged(flags) == flagged
-    return worlds
+        assert _flag_bytes(flags) == found
 
 
 def test_reach_stops_at_excluded_nodes():
@@ -371,9 +386,9 @@ def test_reach_stops_at_excluded_nodes():
     assert _reach(adj, 0, {3}) == {0, 1, 2}
     assert _reach(adj, 4, ()) == {4}
     for excluded in ((), (3,)):
-        flags = np.zeros(5, dtype=bool)
-        flags[list(excluded)] = True
-        worlds = _check_flat_search(net, live, 1, flags)
+        worlds = _flat_keys(net, live, 1)
+        worlds[2][list(excluded)] |= 1
+        _check_flat_search(net, live, 1, worlds)
     assert sorted(_flat_reach(worlds, [0]).tolist()) == [0, 1, 2]
 
 
@@ -689,27 +704,46 @@ def test_flat_search_matches_reach_on_every_shape_of_world(shape, seed):
     # every world, and with covered keys flagged world by world.  In
     # `past-int32` a sparse case's worlds and nodes are the last ones of a
     # batch of replications * n >= 2**31 keys, which need int64; its flags
-    # are a set of keys, so no replications * n array is allocated
+    # are a `_KeySet`, so no replications * n array is allocated
     rng = np.random.default_rng(seed)
+    net, live, replications, checked = _flat_case(rng, shape)
+    n = net.node_count
+    worlds = _flat_worlds(net, live, replications)
+    flags = worlds[2]
+    _check_flat_search(net, live, replications, worlds, checked)
+    active = checked[rng.random(len(checked)) < 0.2]
+    flags[np.add.outer(np.arange(replications) * n, active).ravel()] |= 1
+    _check_flat_search(net, live, replications, worlds, checked)
+    keys = np.add.outer(np.unique(live[0]) * n, checked).ravel()
+    flags[keys[rng.random(len(keys)) < 0.2]] |= 1
+    _check_flat_search(net, live, replications, worlds, checked)
+
+
+def _flat_case(rng, shape):
+    """`_kernel_case` of `shape` with the nodes to check; `past-int32` moves
+    a sparse case's worlds and nodes to the end of a batch of
+    replications * n >= 2**31 keys."""
     net, live, replications = _kernel_case(
         rng, "sparse" if shape == "past-int32" else shape)
     n = nodes = net.node_count
-    flags = np.zeros(replications * n, dtype=bool)
     if shape == "past-int32":
         shift, n = 2 ** 21 - nodes, 2 ** 21
         net = DicNetwork(n, (0.5,) * n, tuple(
             (u + shift, w + shift, law) for u, w, law in net.edges), 1)
         live = (live[0] + 2 ** 10, live[1])
         replications += 2 ** 10
-        flags = _KeySet()
-    checked = np.arange(n - nodes, n)
-    _check_flat_search(net, live, replications, flags, checked)
-    active = checked[rng.random(nodes) < 0.2]
-    flags[np.add.outer(np.arange(replications) * n, active).ravel()] = True
-    _check_flat_search(net, live, replications, flags, checked)
-    keys = np.add.outer(np.unique(live[0]) * n, checked).ravel()
-    flags[keys[rng.random(len(keys)) < 0.2]] = True
-    _check_flat_search(net, live, replications, flags, checked)
+    return net, live, replications, np.arange(n - nodes, n)
+
+
+@pytest.mark.parametrize("shape", ["sparse", "dense", "wide", "past-int32"])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_keys_mark_the_keys_with_a_live_out_edge(shape, seed):
+    # a new batch's flag bytes have bit 1 on exactly the keys of tail (the
+    # keys with a live out-edge) and bit 0 on none
+    net, live, replications, _ = _flat_case(np.random.default_rng(seed), shape)
+    tail, _, flags = _flat_worlds(net, live, replications)
+    assert _flag_bytes(flags) == dict.fromkeys(tail.tolist(), 2)
 
 
 class _ReferenceGreedy:
@@ -788,6 +822,35 @@ def test_lazy_queues_match_exhaustive_argmax(seed):
                   for v in range(net.node_count)]
         expected.append(totals.index(max(totals)))
     assert picked == expected
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_greedy_flag_bytes_keep_both_bits(seed):
+    # after every decision, a-greedy's flag bytes carry bit 1 on exactly the
+    # keys of tail and bit 0 on exactly the columns of the nodes it has
+    # flagged, which are active: flagging a node keeps its bit 1
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    n = net.node_count
+    policy = AGreedyPolicy(net, 30, rng)
+    decide, decisions = policy.decide, []
+
+    def checked(net, partial):
+        command = decide(net, partial)
+        if policy._worlds is not None:
+            tail, _, flags = policy._worlds
+            want = np.zeros(len(flags), dtype=np.uint8)
+            want[tail] = 2
+            want.reshape(-1, n)[:, sorted(policy._flagged)] |= 1
+            assert policy._flagged <= partial.active
+            assert flags.tolist() == want.tolist()
+            decisions.append(command)
+        return command
+
+    policy.decide = checked
+    run_policy(net, policy, sample_full(net, rng))
+    assert decisions
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

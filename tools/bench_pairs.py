@@ -8,10 +8,11 @@ Runs `perfbench/run.py --trace 0` for `run_seconds` of BENCHMARK.json on
 the parent checkout and on this one alternately, one pair at a time,
 switching which side goes first from pair to pair so that a drift of the
 host's speed falls on both sides alike.  Writes `BENCH_<pr>.json` at the
-root of this checkout: every run's end-to-end metrics, per workload and
-metric the median and interquartile range of each side and the number of
-pairs the change won, and the machine and both sides' commits and source
-digests as the runs' own perfbench records give them.  A side whose `src/`
+root of this checkout: every run's end-to-end metrics and per-cell
+normalised rates and shares, per workload and metric or cell the median and
+interquartile range of each side and the number of pairs the change won,
+and the machine and both sides' commits and source digests as the runs' own
+perfbench records give them.  A side whose `src/`
 differs from its commit is marked `"uncommitted": true`: its `git_commit`
 then names the commit its source was changed from.
 
@@ -78,31 +79,45 @@ def uncommitted(checkout: Path) -> bool:
     return proc.returncode == 0 and bool(proc.stdout.strip())
 
 
+def _compare(side: dict, pairs: list, better: str) -> dict:
+    """One summary entry from {side: {pair: value}}: each side's median and
+    IQR, and how many pairs the change won (strictly better in the sense of
+    `better`, so a tie counts for neither side)."""
+    lower = better == "lower"
+    wins = sum((side["change"][p] < side["parent"][p]) if lower
+               else (side["change"][p] > side["parent"][p])
+               for p in pairs)
+    entry = {}
+    for s, values in side.items():
+        q1, q2, q3 = _quartiles([values[p] for p in pairs])
+        entry[s] = {"median": q2, "iqr": q3 - q1}
+    return {**entry, "change_wins": wins, "pairs": len(pairs),
+            "better": better}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: each side's median and IQR, and
-    how many pairs the change won (strictly better in the metric's sense)."""
+    """Per workload, an entry of `_compare` for each end-to-end metric and
+    for each cell's normalised rate (higher is better); a cell's entry gives
+    each side's median share of norm_wall_s too."""
     out: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         pairs = sorted({r["pair"] for r in mine})
-        table = {}
-        for spec in metrics:
-            name = spec["name"]
-            side = {s: {r["pair"]: r["metrics"][name]["value"]
-                        for r in mine if r["side"] == s}
+
+        def side(read):
+            return {s: {r["pair"]: read(r) for r in mine if r["side"] == s}
                     for s in ("parent", "change")}
-            lower = spec["better"] == "lower"
-            wins = sum((side["change"][p] < side["parent"][p]) if lower
-                       else (side["change"][p] > side["parent"][p])
-                       for p in pairs)
-            entry = {}
-            for s, values in side.items():
-                q1, q2, q3 = _quartiles([values[p] for p in pairs])
-                entry[s] = {"median": q2, "iqr": q3 - q1}
-            entry["change_wins"] = wins
-            entry["pairs"] = len(pairs)
-            entry["better"] = spec["better"]
-            table[name] = entry
+
+        table = {spec["name"]: _compare(
+                     side(lambda r: r["metrics"][spec["name"]]["value"]),
+                     pairs, spec["better"])
+                 for spec in metrics}
+        for cell in dict.fromkeys(c for r in mine for c in r.get("cells", {})):
+            entry = table[cell] = _compare(
+                side(lambda r: r["cells"][cell]), pairs, "higher")
+            shares = side(lambda r: r["cell_share"][cell.split(".")[0]])
+            for s, values in shares.items():
+                entry[s]["share"] = statistics.median(values.values())
         out[workload] = table
     return out
 
@@ -140,7 +155,9 @@ def main(argv=None) -> int:
                     machines.setdefault(side, run_record["machine"])
                     record["runs"].append({
                         "workload": workload, "pair": pair, "side": side,
-                        "position": position, **result})
+                        "position": position, **result,
+                        "cells": run_record["cells"],
+                        "cell_share": run_record["cell_share"]})
                     print(f"{workload} pair {pair} {side}: norm_wall_s = "
                           f"{result['metrics']['norm_wall_s']['value']:.4g}"
                           f", failed {result['failed']}", file=sys.stderr)
