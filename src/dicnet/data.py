@@ -130,6 +130,15 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
     if 2 * pair_target * (n - 1) >= 2 ** 53:
         raise ValueError(f"{n} nodes and {edges_target} edges exceed the "
                          f"generator's exact range")
+    # `validate_network`'s checks of what the caller supplies; the wiring
+    # gives endpoints in range, no self-loops and no duplicate edges
+    if not 0.0 <= preset.activation <= 1.0:
+        raise SchemaError(f"activation[0] = {preset.activation} outside [0,1]")
+    if not 1 <= budget <= n:
+        raise SchemaError(f"budget {budget} outside [1, {n}]")
+    problem = preset.distribution.check()
+    if problem:                         # its first edge is always (0, 1)
+        raise SchemaError(f"edge (0,1): {problem}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     # every arriving node brings one connecting stub plus a rank-skewed share
     # of the remaining pair budget; early arrivals carry the surplus so the
@@ -162,11 +171,7 @@ def generate_power_law(n: int, edges_target: int, rng_seed: int,
             degree[i] += 1.0
     law = preset.distribution
     edges = tuple(e for u, w in pairs for e in ((u, w, law), (w, u, law)))
-    net = DicNetwork(n, (preset.activation,) * n, edges, budget)
-    problem = validate_network(net)
-    if problem:
-        raise SchemaError(problem)
-    return net
+    return DicNetwork(n, (preset.activation,) * n, edges, budget)
 
 
 def _dist_to_json(dist: PropagationDistribution) -> dict:

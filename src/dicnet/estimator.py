@@ -168,7 +168,7 @@ def _static_spread_total(net: DicNetwork, seeds, master_seed: int,
         for row, i in zip(u, range(lo, stop)):
             pool.get(i, PURPOSE_WORLD).random(out=row)
         bits, success = map_uniforms(net, u)
-        worlds = _flat_keys(net, np.nonzero(success), len(u))
+        worlds = _flat_keys(net, [np.nonzero(success)], len(u))
         world, root = np.nonzero(bits[:, roots * b])
         total += len(_flat_reach(worlds, world * n + roots[root]))
     return total

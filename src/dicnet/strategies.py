@@ -91,15 +91,15 @@ def static_seed_factory(seeds, rng):
 # live-edge world engine
 #
 # A world is one draw of every edge's single attempt, each edge live with its
-# mean propagation probability.  A batch of worlds is drawn as live arrays
-# (rows, edges), rows ascending: edge `edges[i]` is live in world `rows[i]`.
-# Every greedy strategy scores candidates by how many nodes they reach in a
-# shared batch of worlds (common random numbers): `reach_totals` scores all
-# of them at once from the live arrays, and the re-evaluations of single
-# candidates search the same batch as flat keys (`_flat_keys`), node u of
-# world r being the key r * n + u, with one flag byte per key: bit 0 marks
-# a key a search may not enter (set with `|= 1`, tested with `& 1`), and
-# bit 1, set once when the batch is built, a key with a live out-edge.
+# mean propagation probability.  Every greedy strategy scores candidates by
+# how many nodes they reach in a shared batch of worlds (common random
+# numbers).  A batch is one format, built by `_flat_keys` alone: node u of
+# world r is the key r * n + u, the live edges are (tail, head) key pairs
+# sorted by tail, and one flag byte per key has bit 0 on a key no count may
+# enter (set with `|= 1`, tested with `& 1`) and bit 1, set once when the
+# batch is built, on a key with a live out-edge.  `reach_totals` scores
+# every node at once from it, and the re-evaluations of single candidates
+# search it (`_flat_reach`).
 # ---------------------------------------------------------------------------
 
 _REACH_SLICE = 8192         # live edges whose worlds reach_totals counts at once
@@ -129,37 +129,30 @@ def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _merge_live(pieces):
-    """One live (rows, edges) pair from pieces that each have ascending
-    rows: a stable sort by row, so each world keeps piece order and the
-    order within a piece.  One piece is used as drawn, with no copy."""
-    pieces = list(pieces) or [(np.empty(0, dtype=np.int64),) * 2]
-    if len(pieces) == 1:
-        return pieces[0]
-    rows = np.concatenate([r for r, _ in pieces])
-    edges = np.concatenate([e for _, e in pieces])
-    del pieces
-    order = np.argsort(rows, kind="stable")
-    return rows[order], edges[order]
-
-
-def _flat_keys(net: DicNetwork, live, replications: int):
-    """The live (rows, edges) pair as the batch (tail, head, flags): flat
-    keys stable-sorted by tail, live edge i running from key
-    `rows[i] * n + source` to key `rows[i] * n + target`, and a uint8 flag
-    per key with bit 1 set on the keys of `tail` and nothing else.  The keys
-    are int32 while replications * n < 2**31 and int64 past it, and are
-    built in place in that type: the sort's order is their only whole-batch
-    int64 temporary, freed before the flags are allocated."""
+def _flat_keys(net: DicNetwork, pieces, replications: int):
+    """The batch (tail, head, flags) of live-edge worlds drawn as (rows,
+    edges) pieces, each with ascending rows, in draw order: live edge
+    `edges[i]` of a piece runs from key `rows[i] * n + source` to key
+    `rows[i] * n + target`.  The keys are stable-sorted by tail, so within
+    a world a source's targets keep piece order, then the order within a
+    piece; the uint8 flag per key has bit 1 set on the keys of `tail` and
+    nothing else.  The keys are int32 while replications * n < 2**31 and
+    int64 past it.  Each piece is released once keyed, and the sort's order
+    is the only whole-batch int64 temporary, freed before the flags are
+    allocated."""
     n = net.node_count
     src, dst, _ = net.edge_arrays
-    rows, edges = live
     dtype = np.int32 if replications * n < 2 ** 31 else np.int64
-    tail = np.empty(len(rows), dtype=dtype)
-    np.multiply(rows, n, out=tail, casting="unsafe")
-    head = tail.copy()
-    tail += src.astype(dtype)[edges]
-    head += dst.astype(dtype)[edges]
+    src, dst = src.astype(dtype), dst.astype(dtype)
+
+    def keyed(rows, edges):
+        base = np.empty(len(rows), dtype=dtype)
+        np.multiply(rows, n, out=base, casting="unsafe")
+        return base + src[edges], base + dst[edges]
+
+    keys = [keyed(*piece) for piece in pieces] or [(np.empty(0, dtype),) * 2]
+    tail, head = (np.concatenate(k) for k in zip(*keys))
+    del keys
     order = np.argsort(tail, kind="stable")
     tail, head = tail[order], head[order]
     del order
@@ -169,10 +162,10 @@ def _flat_keys(net: DicNetwork, live, replications: int):
 
 
 def sample_worlds(net: DicNetwork, replications: int, rng):
-    """`replications` live-edge worlds as one live (rows, edges) pair, rows
-    ascending, drawn sparsely: one Bernoulli grid per distinct edge mean, on
-    a Philox stream keyed by one draw from rng.  Within a world the live
-    edges go by ascending mean, then by edge id."""
+    """A batch of `replications` live-edge worlds, drawn sparsely: one
+    Bernoulli grid per distinct edge mean, on a Philox stream keyed by one
+    draw from rng.  Within a world a source's live edges go by ascending
+    mean, then by edge id."""
     seed = int(rng.integers(0, 2 ** 63))
     gen = np.random.Generator(np.random.Philox(key=seed))
     means = net.edge_arrays[2]
@@ -186,7 +179,7 @@ def sample_worlds(net: DicNetwork, replications: int, rng):
             edges = group[edges]
             yield rows, edges
 
-    return _merge_live(live())
+    return _flat_keys(net, live(), replications)
 
 
 def _flat_reach(worlds, front) -> np.ndarray:
@@ -243,21 +236,21 @@ def _search(start, ptr, to, within):
     return seen
 
 
-def _slice_reaches(n: int, world, s, t):
-    """Reach sizes in one slice of worlds, given as the live edges
-    (world[i], s[i], t[i]) with ascending worlds.
+def _slice_reaches(n: int, key_s, key_t):
+    """Reach sizes in one slice of worlds, given as the live edges from key
+    `key_s[i]` to key `key_t[i]`, node u of world r being the key r * n + u,
+    grouped by source key.
 
-    Each (world, node) pair on a live edge gets a compact id and a bit of its
-    world's bitset.  In each world, the strongly connected component of the
-    source with the most live out-edges (its hub) is contracted: every node
-    of it reaches what the hub reaches, found by a forward search, and the
+    Each key on a live edge gets a compact id and a bit of its world's
+    bitset.  In each world, the strongly connected component of the source
+    with the most live out-edges (its hub) is contracted: every node of it
+    reaches what the hub reaches, found by a forward search, and the
     component is what of that reaches the hub back.  Then a semi-naive fixed
     point ORs the reach bitsets of the targets that grew in the last round
     into their sources, until none grows.  Returns (world, node, reach size
-    - 1) per pair; a node on no live edge of a world reaches itself alone.
+    - 1) per key; a node on no live edge of a world reaches itself alone.
     """
-    worlds = int(world[-1]) + 1
-    key_s, key_t = world * n + s, world * n + t
+    worlds = int(key_s[-1]) // n + 1
     on_edge = np.zeros(worlds * n, dtype=bool)
     on_edge[key_s] = True
     on_edge[key_t] = True
@@ -268,10 +261,9 @@ def _slice_reaches(n: int, world, s, t):
     pair_id[keys] = np.arange(pairs)
     es, et = pair_id[key_s], pair_id[key_t]
     del pair_id
-    # group the edges by source, and find their order by target: a stable
-    # sort of ids of up to 16 bits is a radix sort
-    order = np.argsort(es, kind="stable")
-    es, et = es[order], et[order]
+    # the ids ascend with the keys, so the edges stay grouped by source; find
+    # their order by target: a stable sort of ids of up to 16 bits is a radix
+    # sort
     by_head = np.argsort(et, kind="stable")
     es, et = es.astype(np.intp), et.astype(np.intp)
     pair_world, node = np.divmod(keys, n)
@@ -319,41 +311,39 @@ def _slice_reaches(n: int, world, s, t):
     return pair_world, node, size - 1
 
 
-def reach_totals(net: DicNetwork, live, replications: int, active,
+def reach_totals(net: DicNetwork, worlds, replications: int,
                  weight=None) -> list[int]:
-    """For every node v outside `active`, the sum over the `replications`
-    worlds r of the live (rows, edges) pair of `weight[r, v]` (1 when None)
-    times the number of nodes v reaches in world r without entering a node
-    of `active`, v included: the integer that `world_gain` counts for each
-    candidate, for all candidates at once.
+    """For every node v, the sum over the `replications` worlds r of the
+    batch `worlds` = (tail, head, flags) of `weight[r, v]` (1 when None)
+    times the number of keys v's key in world r reaches without entering a
+    key whose bit 0 is set, its own included; a key whose bit 0 is set
+    reaches itself alone.  For the nodes without bit 0 this is the integer
+    that `world_gain` counts for each candidate, for all candidates at once.
 
-    Live edges that touch `active` are dropped, and the rest are counted by
-    `_slice_reaches` one slice of whole worlds, about `_REACH_SLICE` live
-    edges, at a time.
+    Live edges that touch a key with bit 0 are dropped, and the rest are
+    counted by `_slice_reaches` one slice of whole worlds, about
+    `_REACH_SLICE` live edges, at a time.
     """
     n = net.node_count
-    src, dst, _ = net.edge_arrays
-    rows, edges = live
-    outside = np.ones(n, dtype=bool)
-    outside[list(active)] = False
+    tail, head, flags = worlds
     if weight is None:
         totals = np.full(n, replications, dtype=np.int64)
     else:
         totals = weight.sum(axis=0, dtype=np.int64)   # every node reaches itself
     # whole worlds of about _REACH_SLICE live edges, and at most
     # 16 * _REACH_SLICE (world, node) cells for the kernel's map of pairs
-    step = max(1, min(replications * _REACH_SLICE // max(1, len(rows)),
+    step = max(1, min(replications * _REACH_SLICE // max(1, len(tail)),
                       16 * _REACH_SLICE // n))
-    cuts = rows.searchsorted(range(0, replications + step, step)).tolist()
+    starts = np.arange(0, replications, step) * n
+    cuts = [*tail.searchsorted(starts.astype(tail.dtype)).tolist(), len(tail)]
     for lo, hi in zip(cuts, cuts[1:]):
-        part = edges[lo:hi]
-        s, t = src[part], dst[part]
-        kept = outside[s] & outside[t]
+        s, t = tail[lo:hi], head[lo:hi]
+        kept = ((flags[s] | flags[t]) & 1) == 0
         if not kept.any():
             continue
-        first = int(rows[lo])
-        world, node, extra = _slice_reaches(
-            n, rows[lo:hi][kept] - first, s[kept], t[kept])
+        first = int(s[0]) // n              # the slice's first world
+        world, node, extra = _slice_reaches(n, s[kept] - first * n,
+                                            t[kept] - first * n)
         if weight is not None:
             extra *= weight[world + first, node]
         totals += np.bincount(node, extra, n).astype(np.int64)
@@ -428,20 +418,9 @@ class AGreedyPolicy:
         active = partial.active
         if self.candidates <= active:            # every candidate is active
             return None
-        if self._worlds is None:
-            reps = self.replications
-            live = sample_worlds(self.net, reps, self.rng)
-            if self.celf:
-                # one kernel pass scores the whole first fill; re-evaluations
-                # of single candidates search the batch's flat keys
-                elig = _eligible_nodes(net, active, self.candidates)
-                totals = reach_totals(self.net, live, reps, active)
-                self.gain_evaluations += len(elig)
-                act = self.net.activation
-                self._heap = [(-(act[v] * totals[v] / reps), v, 0)
-                              for v in elig]
-                heapq.heapify(self._heap)
-            self._worlds = _flat_keys(self.net, live, reps)
+        first = self._worlds is None
+        if first:
+            self._worlds = sample_worlds(self.net, self.replications, self.rng)
         # flag the nodes that turned active since the last decision in every
         # world; the simulator grows one active set in place, so keep a copy
         flags, n = self._worlds[2], net.node_count
@@ -449,6 +428,16 @@ class AGreedyPolicy:
         for u in newly:
             flags[u::n] |= 1
         self._flagged |= newly
+        if first and self.celf:
+            # one kernel pass scores the whole first fill; re-evaluations of
+            # single candidates search the batch
+            reps = self.replications
+            elig = _eligible_nodes(net, active, self.candidates)
+            totals = reach_totals(self.net, self._worlds, reps)
+            self.gain_evaluations += len(elig)
+            act = self.net.activation
+            self._heap = [(-(act[v] * totals[v] / reps), v, 0) for v in elig]
+            heapq.heapify(self._heap)
         if self.celf:
             # the heap holds candidates only, so an ineligible one is active
             chosen, gain = _lazy_forward(self._heap, self.step, self._gain,
@@ -473,8 +462,8 @@ def h_greedy_prune(net: DicNetwork, pre_replications: int, rng):
     Returns (candidate set, stats) where stats carries the per-node
     estimates, the population mean/std, and the pruned fraction.
     """
-    live = sample_worlds(net, pre_replications, rng)
-    totals = reach_totals(net, live, pre_replications, frozenset())
+    totals = reach_totals(net, sample_worlds(net, pre_replications, rng),
+                          pre_replications)
     estimates = tuple(net.activation[v] * totals[v] / pre_replications
                       for v in range(net.node_count))
     mu = float(np.mean(estimates))
@@ -509,19 +498,18 @@ def static_greedy_select(net: DicNetwork, budget: int, replications: int, rng):
     seeded all at once.  Returns (ordered seed list, gain evaluation count).
     """
     n = net.node_count
-    pieces = []
-    for lo, block in _draw_below(rng, replications, net.edge_arrays[2]):
-        rows, edges = np.nonzero(block)
-        pieces.append((rows + lo, edges))
-    live = _merge_live(pieces)
-    del pieces
+
+    def live():                  # one (rows, edges) piece per block
+        for lo, block in _draw_below(rng, replications, net.edge_arrays[2]):
+            rows, edges = np.nonzero(block)
+            yield rows + lo, edges
+
+    worlds = _flat_keys(net, live(), replications)
+    covered = worlds[2]         # bit 0: the picks' reach
     success = np.empty((replications, n), dtype=bool)
     for lo, block in _draw_below(rng, replications, np.array(net.activation)):
         success[lo:lo + len(block)] = block
-    totals = reach_totals(net, live, replications, (), weight=success)
-    worlds = _flat_keys(net, live, replications)
-    covered = worlds[2]         # bit 0: the picks' reach
-    del live
+    totals = reach_totals(net, worlds, replications, weight=success)
     evaluations = n
     best = None     # (heap key, keys reached) of the round's best evaluation
 

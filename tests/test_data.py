@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dicnet.data import (SchemaError, _dist_to_json, _pick, generate_power_law,
-                         load_network, parse_preset, save_network)
+from dicnet.data import (PresetSpec, SchemaError, _dist_to_json, _pick,
+                         generate_power_law, load_network, parse_preset,
+                         save_network)
 from dicnet.fixtures import fixture_g1, two_node_fixture
 from dicnet.model import PropagationDistribution, validate_network
 
@@ -69,6 +70,22 @@ def test_generator_minimal_and_invalid_targets():
         generate_power_law(10, 200, 0, PRESET, 1)        # above complete graph
     with pytest.raises(ValueError):
         generate_power_law(1, 2, 0, PRESET, 1)
+    # the caller's budget, activation and law, checked before the draw with
+    # the messages `validate_network` gives for the net they would build
+    bad_law = PropagationDistribution((0.2, 0.1), (0.5, 0.5))
+    for preset, budget, message in (
+            (PRESET, 0, r"^budget 0 outside \[1, 10\]$"),
+            (PRESET, 11, r"^budget 11 outside \[1, 10\]$"),
+            (PresetSpec(PRESET.distribution, 1.5), 1,
+             r"^activation\[0\] = 1.5 outside \[0,1\]$"),
+            (PresetSpec(PRESET.distribution, float("nan")), 1,
+             r"^activation\[0\] = nan outside \[0,1\]$"),
+            (PresetSpec(bad_law), 1,
+             r"^edge \(0,1\): values not strictly increasing at 0.2, 0.1$"),
+            (PresetSpec(PropagationDistribution((0.2,), (0.5,))), 1,
+             r"^edge \(0,1\): mass sum 0.5$")):
+        with pytest.raises(SchemaError, match=message):
+            generate_power_law(10, 40, 0, preset, budget)
 
 
 def _choice_wired_pairs(n, edges_target, seed, skew):

@@ -1,5 +1,6 @@
 """Policies, the live-edge world engine, and static selection."""
 
+import contextlib
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import dicnet.diffusion
 import dicnet.strategies
 from dicnet.data import generate_power_law, parse_preset
-from dicnet.diffusion import EMPTY_COMMAND, run_policy
+from dicnet.diffusion import (EMPTY_COMMAND, run_policy, run_to_quiescence,
+                              start, step_round)
 from dicnet.estimator import half_width
 from dicnet.fixtures import (chain_network, random_tiny_network, star_network,
                              two_node_fixture)
@@ -22,7 +24,7 @@ from dicnet.realization import FullRealization, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
                                StaticSeedListPolicy, _bernoulli_positions,
                                _draw_below, _eligible_nodes, _flat_keys,
-                               _flat_reach, _merge_live, h_greedy_prune,
+                               _flat_reach, h_greedy_prune,
                                observably_quiescent,
                                reach_totals, sample_worlds,
                                static_greedy_select, world_gain)
@@ -61,29 +63,54 @@ def _appended_worlds(net, pieces, replications):
 
 
 def _dict_worlds(net, live, replications):
-    """The reference dict worlds of one live (rows, edges) pair."""
+    """The reference dict worlds of one live (rows, edges) piece."""
     return _appended_worlds(net, [live], replications)
 
 
+def _batch_worlds(net, worlds, replications):
+    """The dict worlds of a batch (tail, head, flags), each source's targets
+    in the batch's order."""
+    n = net.node_count
+    adjs = [{} for _ in range(replications)]
+    for k, h in zip(worlds[0].tolist(), worlds[1].tolist()):
+        assert k // n == h // n                 # an edge stays in its world
+        adjs[k // n].setdefault(k % n, []).append(h % n)
+    return adjs
+
+
 def _flat_worlds(net, live, replications):
-    """The flat batch (tail, head, flags) of live arrays, nothing flagged;
-    past 2**31 keys its flags are a `_KeySet`, so no replications * n array
-    is allocated."""
+    """The batch (tail, head, flags) of one live (rows, edges) piece,
+    nothing flagged; past 2**31 keys its flags are a `_KeySet`, so no
+    replications * n array is allocated."""
     if replications * net.node_count < 2 ** 31:
-        return _flat_keys(net, live, replications)
+        return _flat_keys(net, [live], replications)
     with mock.patch.object(np, "zeros", lambda size, dtype: _KeySet()):
-        return _flat_keys(net, live, replications)
+        return _flat_keys(net, [live], replications)
+
+
+@contextlib.contextmanager
+def _excluding(net, worlds, nodes):
+    """Bit 0 set on the nodes of `nodes` in every world of the batch while
+    the block runs, and cleared again after it."""
+    columns = worlds[2].reshape(-1, net.node_count)
+    columns[:, sorted(nodes)] |= 1
+    try:
+        yield
+    finally:
+        columns[:, sorted(nodes)] &= 0xFE
 
 
 def _gain(net, worlds, v, active):
-    """`world_gain` with bit 0 set on the nodes of `active` in every world,
-    and cleared again."""
-    columns = worlds[2].reshape(-1, net.node_count)
-    columns[:, sorted(active)] |= 1
-    try:
+    """`world_gain` with bit 0 set on the nodes of `active` in every world."""
+    with _excluding(net, worlds, active):
         return world_gain(net, worlds, v)
-    finally:
-        columns[:, sorted(active)] &= 0xFE
+
+
+def _totals(net, worlds, replications, excluded, weight=None):
+    """`reach_totals` with bit 0 set on the nodes of `excluded` in every
+    world."""
+    with _excluding(net, worlds, excluded):
+        return reach_totals(net, worlds, replications, weight)
 
 
 def test_random_policy_respects_budget_and_eligibility():
@@ -175,8 +202,7 @@ def test_bernoulli_positions_peak_is_its_batch():
 
 def test_world_gain_matches_exact_gain():
     net = two_node_fixture()
-    worlds = _flat_worlds(
-        net, sample_worlds(net, 40000, np.random.default_rng(9)), 40000)
+    worlds = sample_worlds(net, 40000, np.random.default_rng(9))
     assert world_gain(net, worlds, 0) == pytest.approx(1.48, abs=0.02)
     assert world_gain(net, worlds, 1) == pytest.approx(1.0, abs=1e-12)
     # conditioning: with node 0 active the edge cannot carry the cascade
@@ -187,15 +213,13 @@ def test_world_gain_on_chain():
     net = chain_network(4, 0.5, activation=0.8, budget=1)
     exact = exact_marginal_gain(net, frozenset(), 0)
     assert exact == pytest.approx(0.8 * (1 + 0.5 + 0.25 + 0.125), abs=1e-12)
-    worlds = _flat_worlds(
-        net, sample_worlds(net, 40000, np.random.default_rng(10)), 40000)
+    worlds = sample_worlds(net, 40000, np.random.default_rng(10))
     assert world_gain(net, worlds, 0) == pytest.approx(exact, abs=0.03)
 
 
 def test_world_gain_conditions_on_the_active_set():
     net = chain_network(3, 0.5, activation=0.8, budget=1)
-    worlds = _flat_worlds(
-        net, sample_worlds(net, 40000, np.random.default_rng(11)), 40000)
+    worlds = sample_worlds(net, 40000, np.random.default_rng(11))
     est = world_gain(net, worlds, 0)
     assert est == pytest.approx(0.8 * (1 + 0.5 + 0.25), abs=0.03)
     # conditioned: node 1 already active, so seeding 0 gains only itself
@@ -207,8 +231,9 @@ def test_sample_worlds_is_deterministic_and_sparse():
     drawn = sample_worlds(net, 500, np.random.default_rng(12))
     again = sample_worlds(net, 500, np.random.default_rng(12))
     assert all(np.array_equal(x, y) for x, y in zip(drawn, again))
-    assert np.all(np.diff(drawn[0]) >= 0) and drawn[0].max() < 500
-    a = _dict_worlds(net, drawn, 500)
+    assert np.all(np.diff(drawn[0]) >= 0) and drawn[0].max() < 500 * 6
+    assert len(drawn[2]) == 500 * 6
+    a = _batch_worlds(net, drawn, 500)
     assert len(a) == 500
     # only the hub has out-edges, and each leaf appears at most once
     assert all(set(adj) <= {0} for adj in a)
@@ -218,7 +243,7 @@ def test_sample_worlds_is_deterministic_and_sparse():
     live = sum(len(ws) for ws in lists)
     assert abs(live - 750) < 4 * np.sqrt(2500 * 0.3 * 0.7)
     edgeless = _edgeless(3, 1.0, 1)
-    assert _dict_worlds(edgeless, sample_worlds(
+    assert _batch_worlds(edgeless, sample_worlds(
         edgeless, 4, np.random.default_rng(0)), 4) == [{}] * 4
 
 
@@ -246,14 +271,14 @@ def _reference_static_worlds(net, replications, rng):
     return _appended_worlds(net, pieces, replications)
 
 
-def _static_greedy_live(net, replications, rng):
-    """The live arrays `static_greedy_select` draws from rng."""
+def _static_greedy_batch(net, replications, rng):
+    """The (tail, head) of the batch `static_greedy_select` draws from rng."""
     drawn = []
     keys = dicnet.strategies._flat_keys
 
-    def keep(net, live, replications):
-        drawn.append(live)
-        return keys(net, live, replications)
+    def keep(net, pieces, replications):
+        drawn.append(keys(net, pieces, replications))
+        return drawn[-1]
 
     with mock.patch.object(dicnet.strategies, "_flat_keys", keep):
         static_greedy_select(net, 1, replications, rng)
@@ -268,7 +293,7 @@ _MIXED_LAWS = (parse_preset("f3:0.1,0.01,0.001").distribution,
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_world_builder_matches_the_per_edge_reference(seed):
-    # both samplers' live arrays, read in order, give the worlds of the
+    # both samplers' batches, read in order, give the worlds of the
     # per-edge reference over their pieces, with each source's targets in
     # the same order, on nets whose edges mix an f3 preset's law with
     # per-edge laws of other means (several law groups), on edgeless nets,
@@ -282,11 +307,12 @@ def test_world_builder_matches_the_per_edge_reference(seed):
     net = DicNetwork(n, (0.5,) * n, edges, 1)
     replications = int(rng.integers(1, 30))
     drawn = sample_worlds(net, replications, np.random.default_rng(seed))
-    assert (_dict_worlds(net, drawn, replications)
+    assert (_batch_worlds(net, drawn, replications)
             == _reference_sample_worlds(net, replications,
                                         np.random.default_rng(seed)))
-    drawn = _static_greedy_live(net, replications, np.random.default_rng(seed))
-    assert (_dict_worlds(net, drawn, replications)
+    drawn = _static_greedy_batch(net, replications,
+                                 np.random.default_rng(seed))
+    assert (_batch_worlds(net, drawn, replications)
             == _reference_static_worlds(net, replications,
                                         np.random.default_rng(seed)))
 
@@ -295,19 +321,18 @@ def test_world_builder_keeps_piece_order_across_empty_worlds():
     # two pieces whose rows interleave, with a source hit by both in world
     # 2: its targets keep piece order, not edge order; worlds 1, 4 and 5
     # stay empty; the flat keys list each world's sources in ascending
-    # order, each source's targets in the order of the live arrays, and the
-    # flag bytes carry bit 1 on those sources' keys alone
+    # order, each source's targets in piece order, then in the order within
+    # a piece, and the flag bytes carry bit 1 on those sources' keys alone
     net = DicNetwork(4, (0.5,) * 4, tuple(
         (u, v, fixed_distribution(0.5)) for u, v in
         ((0, 1), (0, 2), (0, 3), (2, 1), (3, 0))), 1)
     pieces = [(np.array([0, 2, 2, 3]), np.array([1, 2, 4, 3])),
               (np.array([0, 2, 3]), np.array([3, 0, 4]))]
-    merged = _merge_live(pieces)
-    worlds = _dict_worlds(net, merged, 6)
+    tail, head, flags = _flat_keys(net, pieces, 6)
+    worlds = _batch_worlds(net, (tail, head, flags), 6)
     assert worlds == _appended_worlds(net, pieces, 6)
     assert worlds[2] == {0: [3, 1], 3: [0]} and worlds[1] == {}
     assert worlds[4] == worlds[5] == {}
-    tail, head, flags = _flat_keys(net, merged, 6)
     assert list(zip(tail.tolist(), head.tolist())) == [
         (r * 4 + u, r * 4 + w) for r, adj in enumerate(worlds)
         for u in sorted(adj) for w in adj[u]]
@@ -315,7 +340,7 @@ def test_world_builder_keeps_piece_order_across_empty_worlds():
     assert np.flatnonzero(flags).tolist() == [
         r * 4 + u for r, adj in enumerate(worlds) for u in sorted(adj)]
     assert set(flags.tolist()) == {0, 2}
-    assert _dict_worlds(net, _merge_live([]), 3) == [{}, {}, {}]
+    assert _batch_worlds(net, _flat_keys(net, [], 3), 3) == [{}, {}, {}]
 
 
 class _KeySet:
@@ -386,7 +411,7 @@ def test_reach_stops_at_excluded_nodes():
     assert _reach(adj, 0, {3}) == {0, 1, 2}
     assert _reach(adj, 4, ()) == {4}
     for excluded in ((), (3,)):
-        worlds = _flat_keys(net, live, 1)
+        worlds = _flat_worlds(net, live, 1)
         worlds[2][list(excluded)] |= 1
         _check_flat_search(net, live, 1, worlds)
     assert sorted(_flat_reach(worlds, [0]).tolist()) == [0, 1, 2]
@@ -463,8 +488,7 @@ def test_h_greedy_prune_estimates_are_world_gains():
     # the prune scores each node by world_gain on worlds drawn from its rng
     net = star_network(4, 0.4, activation=0.7, budget=1)
     _, stats = h_greedy_prune(net, 300, np.random.default_rng(25))
-    worlds = _flat_worlds(
-        net, sample_worlds(net, 300, np.random.default_rng(25)), 300)
+    worlds = sample_worlds(net, 300, np.random.default_rng(25))
     assert stats["estimates"] == tuple(world_gain(net, worlds, v)
                                        for v in range(5))
 
@@ -557,8 +581,7 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=4, budget=2)
     replications, delta = 4000, 1e-6
-    worlds = _flat_worlds(net, sample_worlds(net, replications, rng),
-                          replications)
+    worlds = sample_worlds(net, replications, rng)
     hw = half_width(net.node_count, replications, delta)
     checked = []
 
@@ -582,20 +605,19 @@ def test_world_gain_tracks_exact_gain_at_every_reached_state(seed):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
-    # the all-candidates kernel sums, for every node outside the active set,
-    # the reach _reach finds over the dict worlds of the same live arrays,
-    # and world_gain turns it into the same float, at every state an
-    # a-greedy run and a random run reach; weighted by seeding successes it
-    # gives each node static greedy's first score
+    # the all-candidates kernel sums, for every node outside the active set
+    # (bit 0 set on its keys), the reach _reach finds over the dict worlds
+    # of the same batch, and world_gain turns it into the same float, at
+    # every state an a-greedy run and a random run reach; weighted by
+    # seeding successes it gives each node static greedy's first score
     rng = np.random.default_rng(seed)
     net = random_tiny_network(rng, max_nodes=5, budget=3)
-    live = sample_worlds(net, 60, rng)
-    worlds = _dict_worlds(net, live, 60)
-    flat = _flat_worlds(net, live, 60)
+    flat = sample_worlds(net, 60, rng)
+    worlds = _batch_worlds(net, flat, 60)
 
     def check(state):
         active = state.partial.active
-        totals = reach_totals(net, live, 60, active)
+        totals = _totals(net, flat, 60, active)
         for v in range(net.node_count):
             if v in active:
                 continue
@@ -613,7 +635,8 @@ def test_reach_totals_equal_world_gain_at_every_reached_state(seed):
     success = (rng.random((replications, net.node_count))
                < np.array(net.activation))
     static_worlds = _dict_worlds(net, live, replications)
-    totals = reach_totals(net, live, replications, (), weight=success)
+    totals = reach_totals(net, _flat_worlds(net, live, replications),
+                          replications, weight=success)
     for v in range(net.node_count):
         evaluate = sum(len(_reach(static_worlds[r], v, set()))
                        for r in np.flatnonzero(success[:, v]).tolist())
@@ -633,7 +656,7 @@ def test_reach_totals_on_dense_worlds_with_cycles(seed):
     live = np.nonzero(rng.random((5, len(net.edges))) < 0.3)
     worlds = _dict_worlds(net, live, 5)
     excluded = {v for v in range(n) if rng.random() < 0.2}
-    totals = reach_totals(net, live, 5, excluded)
+    totals = _totals(net, _flat_worlds(net, live, 5), 5, excluded)
     for v in set(range(n)) - excluded:
         assert totals[v] == sum(len(_reach(adj, v, excluded))
                                 for adj in worlds)
@@ -675,11 +698,15 @@ def _kernel_case(rng, shape):
 def test_reach_totals_match_reach_on_every_shape_of_world(shape, seed):
     # the kernel against _reach summed over the dict worlds of the same live
     # arrays, with excluded nodes (inside cycles too), without and with a
-    # weight matrix; slices of one world and of all worlds give equal totals
+    # weight matrix; slices of one world and of all worlds give equal totals.
+    # Then with keys flagged world by world, as static greedy's covered keys
+    # are: against _reach with each world's excluded set, a flagged key
+    # reaching itself alone
     rng = np.random.default_rng(seed)
     net, live, replications = _kernel_case(rng, shape)
     n = net.node_count
     worlds = _dict_worlds(net, live, replications)
+    flat = _flat_worlds(net, live, replications)
     excluded = frozenset(v for v in range(n) if rng.random() < 0.2)
     weight = rng.integers(0, 4, (replications, n))
     for w in (None, weight):
@@ -690,9 +717,23 @@ def test_reach_totals_match_reach_on_every_shape_of_world(shape, seed):
         for slice_edges in (1, 1 << 20):
             with mock.patch.object(dicnet.strategies, "_REACH_SLICE",
                                    slice_edges):
-                totals = reach_totals(net, live, replications, excluded, w)
+                totals = _totals(net, flat, replications, excluded, w)
             assert [t for v, t in enumerate(totals) if v not in excluded] \
                 == [t for v, t in enumerate(want) if v not in excluded]
+    covered = [{v for v in range(n) if rng.random() < 0.2}
+               for _ in range(replications)]
+    for r, nodes in enumerate(covered):
+        flat[2][[r * n + v for v in nodes]] |= 1
+    for w in (None, weight):
+        want = [sum((1 if w is None else int(w[r, v]))
+                    * (1 if v in covered[r]
+                       else len(_reach(adj, v, covered[r])))
+                    for r, adj in enumerate(worlds))
+                for v in range(n)]
+        for slice_edges in (1, 1 << 20):
+            with mock.patch.object(dicnet.strategies, "_REACH_SLICE",
+                                   slice_edges):
+                assert reach_totals(net, flat, replications, w) == want
 
 
 @pytest.mark.parametrize("shape", ["sparse", "dense", "wide", "past-int32"])
@@ -764,8 +805,8 @@ class _ReferenceGreedy:
             return None
         reps = self.replications
         if self.worlds is None:
-            self.worlds = _dict_worlds(net, sample_worlds(net, reps, self.rng),
-                                       reps)
+            self.worlds = _batch_worlds(
+                net, sample_worlds(net, reps, self.rng), reps)
 
         def gain(v):
             total = sum(len(_reach(adj, v, partial.active))
@@ -822,6 +863,58 @@ def test_lazy_queues_match_exhaustive_argmax(seed):
                   for v in range(net.node_count)]
         expected.append(totals.index(max(totals)))
     assert picked == expected
+
+
+def _first_decisions(net, x, seeds, replications, draw):
+    """The decisions of a fresh CELF a-greedy, a fresh exhaustive one and
+    the reference, each on rng `draw`, at the quiescent state that seeding
+    `seeds` on x and draining the cascade leaves; and that state's active
+    set."""
+    state = start(net, x)
+    step_round(state, frozenset(seeds))
+    partial = run_to_quiescence(state).partial
+    return [policy.decide(net, partial) for policy in (
+        AGreedyPolicy(net, replications, np.random.default_rng(draw)),
+        AGreedyPolicy(net, replications, np.random.default_rng(draw),
+                      celf=False),
+        _ReferenceGreedy(replications, np.random.default_rng(draw)))
+    ], partial.active
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_greedy_first_decision_with_nodes_already_active(seed):
+    # a fresh policy handed a mid-run state flags the active nodes before
+    # its first fill, so the CELF heap's first scores are conditioned on
+    # them: both queues pick what the reference picks on the same worlds, on
+    # random nets of three edge means whose seeds always succeed
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    net = DicNetwork(n, (0.5,) * n, tuple(
+        (u, w, _MIXED_LAWS[1 + int(rng.integers(3))])
+        for u in range(n) for w in range(n)
+        if u != w and rng.random() < 0.3), 3)
+    x = sample_full(net, rng)
+    x = FullRealization(bytes([1]) * len(x.seed_bits), x.success)
+    seeds = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+    (lazy, full, want), active = _first_decisions(
+        net, x, seeds.tolist(), 40, int(rng.integers(2 ** 32)))
+    assert active
+    assert lazy == full == want
+
+
+def test_a_greedy_first_decision_on_a_power_law_net():
+    # the same on a 300-node net whose three first hubs were seeded, where a
+    # first fill that ignored the active nodes would rank another node first
+    net = generate_power_law(300, 3000, 5, parse_preset("f1:0.05"), 3)
+    x = sample_full(net, np.random.default_rng(27))
+    x = FullRealization(bytes([1]) * len(x.seed_bits), x.success)
+    (lazy, full, want), active = _first_decisions(net, x, range(3), 30, 28)
+    assert lazy == full == want
+    totals = reach_totals(
+        net, sample_worlds(net, 30, np.random.default_rng(28)), 30)
+    elig = [v for v in range(net.node_count) if v not in active]
+    assert want != frozenset({max(elig, key=totals.__getitem__)})
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
