@@ -272,7 +272,8 @@ def _reference_static_worlds(net, replications, rng):
 
 
 def _static_greedy_batch(net, replications, rng):
-    """The (tail, head) of the batch `static_greedy_select` draws from rng."""
+    """The batch `static_greedy_select` draws from rng; its tail and head
+    are as drawn, and its flags end with the picks' reach covered."""
     drawn = []
     keys = dicnet.strategies._flat_keys
 
