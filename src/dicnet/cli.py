@@ -136,7 +136,7 @@ def _resolve_network(args, given, budgets=(1,)):
     bad = next((b for b in budgets if not 1 <= b <= net.node_count), None)
     if bad is not None:
         raise ConfigError(f"budget {bad} outside [1, {net.node_count}]")
-    return dataclasses.replace(net, budget=budgets[0])
+    return net.with_budget(budgets[0])    # keeps the views built by validation
 
 
 def _one_budget(args):

@@ -8,6 +8,7 @@ DicNetwork exactly.
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,25 +210,49 @@ def _dist_from_json(obj: dict, where: str) -> PropagationDistribution:
 
 
 def save_network(net: DicNetwork, path: str) -> None:
-    # one JSON object per law object, keyed by identity: equal laws may
-    # still print differently (1 against 1.0)
+    """Write `net` as the bytes `json.dumps` gives for its document, with
+    each law object encoded once: equal laws may still print differently
+    (1 against 1.0), so laws are told apart by identity."""
     laws = {id(d): d for _, _, d in net.edges}
-    dists = {key: _dist_to_json(d) for key, d in laws.items()}
-    doc = {
+    laws = {key: json.dumps(_dist_to_json(d)) for key, d in laws.items()}
+    header = json.dumps({
         "nodes": net.node_count,
         "budget": net.budget,
         "activation": (net.activation[0]
                        if len(set(net.activation)) == 1
                        else list(net.activation)),
-        "edges": [{"src": u, "dst": w, "dist": dists[id(d)]}
-                  for u, w, d in net.edges],
-    }
+    })
+    # an int prints as json.dumps prints it; any other endpoint goes through
+    # json.dumps itself
+    edges = ", ".join(
+        f'{{"src": {u if type(u) is int else json.dumps(u)}, '
+        f'"dst": {w if type(w) is int else json.dumps(w)}, '
+        f'"dist": {laws[id(d)]}}}'
+        for u, w, d in net.edges)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))               # the C encoder; json.dump is pure Python
-        fh.write("\n")
+        fh.write(f'{header[:-1]}, "edges": [{edges}]}}\n')
+
+
+def _reject_edge(e, where: str):
+    """Raise the SchemaError of an edge object that is not
+    {"src": int, "dst": int, "dist": ...}, naming its first fault."""
+    if not isinstance(e, dict):
+        raise SchemaError(f"{where}: edge must be an object")
+    for field in ("src", "dst", "dist"):
+        if field not in e:
+            raise SchemaError(f"{where}: missing field {field!r}")
+    for field in ("src", "dst"):
+        try:
+            _json_number(e[field], (int,))
+        except TypeError as exc:
+            raise SchemaError(f"{where}: bad endpoint: {exc}") from None
 
 
 def load_network(path: str) -> DicNetwork:
+    """The network in the JSON file at `path`, validated; a malformed file
+    raises SchemaError naming its first fault.  The edges are read in one
+    pass, which parses each distinct law once and hands the network its
+    `edge_laws` view."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -240,7 +265,8 @@ def load_network(path: str) -> DicNetwork:
     for field in ("nodes", "budget", "activation", "edges"):
         if field not in doc:
             raise SchemaError(f"{path}: missing field {field!r}")
-    if not isinstance(doc["edges"], list):
+    items = doc.pop("edges")
+    if not isinstance(items, list):
         raise SchemaError(f"{path}: edges must be a list")
     try:
         n = _json_number(doc["nodes"], (int,))
@@ -251,27 +277,30 @@ def load_network(path: str) -> DicNetwork:
                       else (float(_json_number(act)),) * n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad nodes, budget or activation: {exc}") from None
+    # one parsed law per distinct dist value.  The key is its marshal bytes,
+    # which tell `true` from 1 and 2.0 from the integer 2 where == would
+    # not; version 2 writes no back-references, so equal values give equal
+    # bytes whatever objects they share.
+    dumps = marshal.dumps
+    index: dict[bytes, int] = {}
+    laws: list[PropagationDistribution] = []
+    of_edge: list[int] = []
     edges = []
-    # one parsed law per distinct dist value; the key is its repr, which
-    # tells `true` from 1 and 2.0 from the integer 2 where == would not
-    laws: dict[str, PropagationDistribution] = {}
-    for i, e in enumerate(doc["edges"]):
-        where = f"{path}: edges[{i}]"
-        if not isinstance(e, dict):
-            raise SchemaError(f"{where}: edge must be an object")
-        for field in ("src", "dst", "dist"):
-            if field not in e:
-                raise SchemaError(f"{where}: missing field {field!r}")
+    for i, e in enumerate(items):
         try:
-            ends = (_json_number(e["src"], (int,)),
-                    _json_number(e["dst"], (int,)))
-        except TypeError as exc:
-            raise SchemaError(f"{where}: bad endpoint: {exc}") from None
-        key = repr(e["dist"])
-        if key not in laws:
-            laws[key] = _dist_from_json(e["dist"], where)
-        edges.append((*ends, laws[key]))
+            src, dst, dist = e["src"], e["dst"], e["dist"]
+        except (TypeError, KeyError):
+            src = dst = None
+        if type(src) is not int or type(dst) is not int:
+            _reject_edge(e, f"{path}: edges[{i}]")
+        k = index.setdefault(dumps(dist, 2), len(laws))
+        if k == len(laws):
+            laws.append(_dist_from_json(dist, f"{path}: edges[{i}]"))
+        of_edge.append(k)
+        edges.append((src, dst, laws[k]))
+    del items                   # the parsed edge objects, before validating
     net = DicNetwork(n, activation, tuple(edges), budget)
+    vars(net)["edge_laws"] = (tuple(laws), np.array(of_edge, dtype=np.intp))
     problem = validate_network(net)
     if problem:
         raise SchemaError(f"{path}: {problem}")

@@ -200,8 +200,19 @@ class DicNetwork:
         return src, dst, means[of_edge]
 
 
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of `mask`, or its length if none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
 def validate_network(net: DicNetwork) -> str | None:
-    """Return the first violated invariant as a message, or None when valid."""
+    """Return the first violated invariant as a message, or None when valid.
+
+    Edges are checked in order, each for endpoints in range, then for a
+    self-loop, a repeat of an earlier edge and its law, as one loop over
+    them would; the checks run over `edge_arrays` and `edge_laws`, which
+    the network keeps, and each law's `check()` runs once, at its first
+    edge, if no edge before that one failed."""
     n = net.node_count
     if n < 1:
         return "node count must be positive"
@@ -212,19 +223,33 @@ def validate_network(net: DicNetwork) -> str | None:
             return f"activation[{v}] = {p} outside [0,1]"
     if not (1 <= net.budget <= n):
         return f"budget {net.budget} outside [1, {n}]"
-    seen: set[tuple[int, int]] = set()
-    valid: set[int] = set()             # ids of the laws that passed check()
-    for src, dst, dist in net.edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            return f"edge ({src},{dst}) endpoint out of range"
-        if src == dst:
-            return f"self-loop at node {src}"
-        if (src, dst) in seen:
-            return f"duplicate edge ({src},{dst})"
-        seen.add((src, dst))
-        if id(dist) not in valid:
-            msg = dist.check()
-            if msg is not None:
-                return f"edge ({src},{dst}): {msg}"
-            valid.add(id(dist))
-    return None
+    try:
+        src, dst, _ = net.edge_arrays
+    except OverflowError:               # an endpoint beyond int64: out of range
+        src, dst = (np.array([e[k] for e in net.edges], dtype=object)
+                    for k in (0, 1))
+    stop = _first((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+    # the edges before the first out-of-range one fit in [0, n)
+    src, dst = src[:stop].astype(np.int64), dst[:stop].astype(np.int64)
+    loop = _first(src == dst)
+    order = np.lexsort((dst, src))      # stable: a repeat sorts after its first
+    repeat = ((src[order[1:]] == src[order[:-1]])
+              & (dst[order[1:]] == dst[order[:-1]]))
+    bad = min(stop, loop, int(order[1:][repeat].min(initial=stop)))
+    laws, of_edge = net.edge_laws
+    _, first_use = np.unique(of_edge, return_index=True)
+    for dist, i in zip(laws, first_use.tolist()):   # laws in first-use order
+        if i >= bad:
+            break
+        msg = dist.check()
+        if msg is not None:
+            u, w, _ = net.edges[i]
+            return f"edge ({u},{w}): {msg}"
+    if bad == len(net.edges):
+        return None
+    u, w, _ = net.edges[bad]
+    if bad == stop:
+        return f"edge ({u},{w}) endpoint out of range"
+    if bad == loop:
+        return f"self-loop at node {u}"
+    return f"duplicate edge ({u},{w})"

@@ -1,5 +1,6 @@
 """Command-line harness: output schema, determinism, and exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -14,8 +15,8 @@ import dicnet.cli
 import dicnet.model
 from dicnet.cli import CSV_HEADER, ConfigError, main, parse_budgets
 from dicnet.data import generate_power_law, load_network, parse_preset, save_network
-from dicnet.fixtures import two_node_fixture
-from dicnet.model import DicNetwork
+from dicnet.fixtures import fixture_g1, two_node_fixture
+from dicnet.model import DicNetwork, PropagationDistribution, fixed_distribution
 
 
 def _read_rows(path):
@@ -182,6 +183,36 @@ def test_oracle_subcommands(tmp_path, capsys):
     assert "1.48" in capsys.readouterr().out
     assert main(["oracle", "exact-value", "--fixture", "two-node",
                  "--budgets", "1", "--policy", "warp:0"]) == 2
+
+
+def test_loaded_views_last_into_the_run(tmp_path):
+    # `load_network` hands the net its law grouping and validation builds
+    # the edge arrays; `_resolve_network` keeps both at the run's budget,
+    # and every view equals a fresh build from the same edges bit for bit
+    g1 = fixture_g1()
+    laws = (g1.edges[0][2], PropagationDistribution((1,), (1.0,)),
+            PropagationDistribution((1.0,), (1.0,)), fixed_distribution(0.3),
+            fixed_distribution(0.3))
+    pairs = [(u, w) for u in range(6) for w in range(6) if u != w]
+    hetero = DicNetwork(6, g1.activation, tuple(
+        (u, w, laws[k % 5]) for k, (u, w) in enumerate(pairs)), 2)
+    dense = generate_power_law(200, 14000, 7,
+                               parse_preset("f3:0.1,0.01,0.001"), 1)
+    for k, net in enumerate((g1, dense, hetero)):
+        path = str(tmp_path / f"net{k}.json")
+        save_network(net, path)
+        args = argparse.Namespace(**{**dicnet.cli.SETTINGS, "net": path})
+        got = dicnet.cli._resolve_network(args, set(), [2, 3])
+        assert got.budget == 2
+        assert "edge_laws" in vars(got) and "edge_arrays" in vars(got)
+        fresh = DicNetwork(got.node_count, got.activation, got.edges, 2)
+        (got_laws, got_of), (want_laws, want_of) = got.edge_laws, fresh.edge_laws
+        assert len(got_laws) == len(want_laws)
+        assert all(a is b for a, b in zip(got_laws, want_laws))
+        for a, b in zip((got_of, *got.edge_arrays),
+                        (want_of, *fresh.edge_arrays)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.out_edges == fresh.out_edges
 
 
 def test_gen_round_trip(tmp_path):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dicnet.data import (PresetSpec, SchemaError, _dist_to_json, _pick,
+from dicnet.data import (PresetSpec, SchemaError, _dist_from_json,
+                         _dist_to_json, _json_number, _pick,
                          generate_power_law, load_network, parse_preset,
                          save_network)
 from dicnet.fixtures import fixture_g1, two_node_fixture
-from dicnet.model import PropagationDistribution, validate_network
+from dicnet.model import DicNetwork, PropagationDistribution, validate_network
+from test_model import _reference_validate
 
 PRESET = parse_preset("f1:0.1")
 INF = float("inf")
@@ -259,7 +261,10 @@ def test_saved_bytes_match_the_pure_python_encoder(tmp_path):
         g1, activation=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
         edges=tuple((u, w, laws[k % 3]) for k, (u, w, _) in enumerate(g1.edges)))
     generated = generate_power_law(60, 600, 4, parse_preset("f3:0.1,0.01"), 2)
-    for net in (hetero, generated):
+    # endpoints that are no int print as json.dumps prints them
+    odd = DicNetwork(3, (0.5,) * 3, ((True, 2, laws[0]), (2.0, 0, laws[1]),
+                                     (0, 1, laws[0])), 1)
+    for net in (hetero, generated, odd):
         doc = {"nodes": net.node_count, "budget": net.budget,
                "activation": (net.activation[0]
                               if len(set(net.activation)) == 1
@@ -449,17 +454,85 @@ def _mutate(data, doc):
         return
 
 
+def _reference_load_network(path: str) -> DicNetwork:
+    """`load_network` as one loop over the edges, each checked and its law
+    keyed by repr on its own, then `_reference_validate`: the reference
+    the one-pass loader is compared against."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top-level value must be an object")
+    for field in ("nodes", "budget", "activation", "edges"):
+        if field not in doc:
+            raise SchemaError(f"{path}: missing field {field!r}")
+    if not isinstance(doc["edges"], list):
+        raise SchemaError(f"{path}: edges must be a list")
+    try:
+        n = _json_number(doc["nodes"], (int,))
+        budget = _json_number(doc["budget"], (int,))
+        act = doc["activation"]
+        activation = (tuple(float(_json_number(a)) for a in act)
+                      if isinstance(act, list)
+                      else (float(_json_number(act)),) * n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: bad nodes, budget or activation: {exc}") from None
+    edges = []
+    laws: dict[str, PropagationDistribution] = {}
+    for i, e in enumerate(doc["edges"]):
+        where = f"{path}: edges[{i}]"
+        if not isinstance(e, dict):
+            raise SchemaError(f"{where}: edge must be an object")
+        for field in ("src", "dst", "dist"):
+            if field not in e:
+                raise SchemaError(f"{where}: missing field {field!r}")
+        try:
+            ends = (_json_number(e["src"], (int,)),
+                    _json_number(e["dst"], (int,)))
+        except TypeError as exc:
+            raise SchemaError(f"{where}: bad endpoint: {exc}") from None
+        key = repr(e["dist"])
+        if key not in laws:
+            laws[key] = _dist_from_json(e["dist"], where)
+        edges.append((*ends, laws[key]))
+    net = DicNetwork(n, activation, tuple(edges), budget)
+    problem = _reference_validate(net)
+    if problem:
+        raise SchemaError(f"{path}: {problem}")
+    return net
+
+
+def _load_outcome(load, path: str):
+    """The network `load` reads from `path`, or its SchemaError's text."""
+    try:
+        return load(path)
+    except SchemaError as exc:
+        return str(exc)
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_load_network_accepts_or_rejects_mutated_documents(tmp_path, data):
-    # a valid document with a few entries replaced or deleted loads or
-    # raises SchemaError, the error that `dicnet` turns into exit code 2;
-    # a huge scalar-activation node count would only exhaust memory
+    # a valid document with an endpoint replaced (by one of another type,
+    # out of range or beyond int64, or one that makes a self-loop or a
+    # repeat) and a few entries replaced or deleted loads or raises
+    # SchemaError, the error that `dicnet` turns into exit code 2, as the
+    # per-edge reference does: an equal net with the same law objects per
+    # edge, or the same message; a huge scalar-activation node count would
+    # only exhaust memory
     doc = json.loads(json.dumps(_VALID_DOC))
     if data.draw(st.booleans()):
         doc["activation"] = 0.5
-    for _ in range(data.draw(st.integers(1, 3))):
+    if data.draw(st.booleans()):
+        edge = doc["edges"][data.draw(st.integers(0, 3))]
+        edge[data.draw(st.sampled_from(["src", "dst"]))] = data.draw(
+            st.sampled_from([True, 0.99, -1, 2 ** 70, -2 ** 70, 0, 1, 2, 3]))
+    for _ in range(data.draw(st.integers(0, 3))):
         edges = doc.get("edges")
         deep = isinstance(edges, list) and data.draw(st.booleans())
         _mutate(data, edges if deep else doc)
@@ -468,8 +541,14 @@ def test_load_network_accepts_or_rejects_mutated_documents(tmp_path, data):
     path = str(tmp_path / "net.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    try:
-        net = load_network(path)
-    except SchemaError:
-        return
-    assert validate_network(net) is None
+    net = _load_outcome(load_network, path)
+    want = _load_outcome(_reference_load_network, path)
+    assert net == want
+    if isinstance(net, DicNetwork):
+        assert validate_network(net) is None
+        laws, of_edge = DicNetwork(net.node_count, net.activation, net.edges,
+                                   net.budget).edge_laws
+        assert len(net.edge_laws[0]) == len(laws)
+        assert all(a is b for a, b in zip(net.edge_laws[0], laws))
+        assert (net.edge_laws[1].tolist() == of_edge.tolist()
+                == want.edge_laws[1].tolist())

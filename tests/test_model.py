@@ -4,6 +4,8 @@ import math
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import dicnet.model
@@ -174,3 +176,76 @@ def test_validate_network():
                                          (2, 0, bad_dist)), 1)
         assert validate_network(bad).startswith("edge (1,2): mass sum")
         assert check.call_count == 3
+
+
+def _reference_validate(net: DicNetwork) -> str | None:
+    """`validate_network` as one loop over the edges: the reference its
+    array checks are compared against."""
+    n = net.node_count
+    if n < 1:
+        return "node count must be positive"
+    if len(net.activation) != n:
+        return f"activation list has {len(net.activation)} entries for {n} nodes"
+    for v, p in enumerate(net.activation):
+        if not (0.0 <= p <= 1.0):
+            return f"activation[{v}] = {p} outside [0,1]"
+    if not (1 <= net.budget <= n):
+        return f"budget {net.budget} outside [1, {n}]"
+    seen: set[tuple[int, int]] = set()
+    valid: set[int] = set()             # ids of the laws that passed check()
+    for src, dst, dist in net.edges:
+        if not (0 <= src < n and 0 <= dst < n):
+            return f"edge ({src},{dst}) endpoint out of range"
+        if src == dst:
+            return f"self-loop at node {src}"
+        if (src, dst) in seen:
+            return f"duplicate edge ({src},{dst})"
+        seen.add((src, dst))
+        if id(dist) not in valid:
+            msg = dist.check()
+            if msg is not None:
+                return f"edge ({src},{dst}): {msg}"
+            valid.add(id(dist))
+    return None
+
+
+# good laws, two of them equal but distinct objects, and bad ones
+_GOOD_LAWS = (TWO_POINT, fixed_distribution(0.3), fixed_distribution(0.3))
+_BAD_LAWS = (PropagationDistribution((0.4,), (0.9,)),
+             PropagationDistribution((), ()),
+             PropagationDistribution((0.2, 1.5), (0.5, 0.5)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_validate_network_matches_the_edge_loop(data):
+    # distinct edges of a small net with up to three faults injected at any
+    # position (an endpoint out of range, beyond int64 too, a self-loop or a
+    # repeat of an earlier edge) and bad laws before or after good ones:
+    # the same message as one loop over the edges, and the same check() calls
+    n = data.draw(st.integers(2, 5))
+    pairs = data.draw(st.permutations(
+        [(u, w) for u in range(n) for w in range(n) if u != w]))
+    edges = [list(p) for p in pairs[:data.draw(st.integers(0, 10))]]
+    for _ in range(data.draw(st.integers(0, 3)) if edges else 0):
+        j = data.draw(st.integers(0, len(edges) - 1))
+        fault = data.draw(st.sampled_from(["range", "loop", "repeat"]))
+        if fault == "range":
+            edges[j][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(
+                [-1, n, 2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 63 - 1, -2 ** 70]))
+        elif fault == "loop":
+            edges[j][1] = edges[j][0]
+        else:
+            edges[j] = list(edges[data.draw(st.integers(0, j))])
+    law = st.one_of(*[st.sampled_from(_GOOD_LAWS)] * 4,
+                    st.sampled_from(_BAD_LAWS))
+    edges = tuple((u, w, data.draw(law)) for u, w in edges)
+    calls = {}
+    for name, validate in (("arrays", validate_network),
+                           ("loop", _reference_validate)):
+        net = DicNetwork(n, (0.5,) * n, edges, 1)
+        with mock.patch.object(PropagationDistribution, "check",
+                               autospec=True,
+                               side_effect=PropagationDistribution.check) as check:
+            calls[name] = (validate(net), check.call_args_list)
+    assert calls["arrays"] == calls["loop"]
