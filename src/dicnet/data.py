@@ -214,7 +214,7 @@ def save_network(net: DicNetwork, path: str) -> None:
     each law object encoded once: equal laws may still print differently
     (1 against 1.0), so laws are told apart by identity."""
     laws = {id(d): d for _, _, d in net.edges}
-    laws = {key: json.dumps(_dist_to_json(d)) for key, d in laws.items()}
+    dists = {key: json.dumps(_dist_to_json(d)) for key, d in laws.items()}
     header = json.dumps({
         "nodes": net.node_count,
         "budget": net.budget,
@@ -227,7 +227,7 @@ def save_network(net: DicNetwork, path: str) -> None:
     edges = ", ".join(
         f'{{"src": {u if type(u) is int else json.dumps(u)}, '
         f'"dst": {w if type(w) is int else json.dumps(w)}, '
-        f'"dist": {laws[id(d)]}}}'
+        f'"dist": {dists[id(d)]}}}'
         for u, w, d in net.edges)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{header[:-1]}, "edges": [{edges}]}}\n')
