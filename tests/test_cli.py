@@ -16,7 +16,8 @@ import dicnet.model
 from dicnet.cli import CSV_HEADER, ConfigError, main, parse_budgets
 from dicnet.data import generate_power_law, load_network, parse_preset, save_network
 from dicnet.fixtures import fixture_g1, two_node_fixture
-from dicnet.model import DicNetwork, PropagationDistribution, fixed_distribution
+from dicnet.model import (DicNetwork, PropagationDistribution,
+                          fixed_distribution)
 
 
 def _read_rows(path):
@@ -206,7 +207,8 @@ def test_loaded_views_last_into_the_run(tmp_path):
         assert got.budget == 2
         assert "edge_laws" in vars(got) and "edge_arrays" in vars(got)
         fresh = DicNetwork(got.node_count, got.activation, got.edges, 2)
-        (got_laws, got_of), (want_laws, want_of) = got.edge_laws, fresh.edge_laws
+        got_laws, got_of = got.edge_laws
+        want_laws, want_of = fresh.edge_laws
         assert len(got_laws) == len(want_laws)
         assert all(a is b for a, b in zip(got_laws, want_laws))
         for a, b in zip((got_of, *got.edge_arrays),

@@ -232,7 +232,8 @@ def test_validate_network_matches_the_edge_loop(data):
         fault = data.draw(st.sampled_from(["range", "loop", "repeat"]))
         if fault == "range":
             edges[j][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(
-                [-1, n, 2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 63 - 1, -2 ** 70]))
+                [-1, n, 2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 63 - 1,
+                 -2 ** 70]))
         elif fault == "loop":
             edges[j][1] = edges[j][0]
         else:
@@ -244,8 +245,8 @@ def test_validate_network_matches_the_edge_loop(data):
     for name, validate in (("arrays", validate_network),
                            ("loop", _reference_validate)):
         net = DicNetwork(n, (0.5,) * n, edges, 1)
+        real = PropagationDistribution.check
         with mock.patch.object(PropagationDistribution, "check",
-                               autospec=True,
-                               side_effect=PropagationDistribution.check) as check:
+                               autospec=True, side_effect=real) as check:
             calls[name] = (validate(net), check.call_args_list)
     assert calls["arrays"] == calls["loop"]
