@@ -19,22 +19,20 @@ import sys
 from . import __version__
 from .data import (PresetSpec, SchemaError, generate_power_law, load_network,
                    parse_preset, save_network)
-from .estimator import SEED_LIMIT, half_width, run_replications, substream
+from .estimator import (PURPOSE_PROPERTIES, PURPOSE_PRUNE, PURPOSE_SELECT,
+                        SEED_LIMIT, half_width, run_replications, substream)
 from .fixtures import fixture_g1, two_node_fixture
 from .oracle import (EnumerationGuard, check_properties, enumerate_schedules,
                      exact_policy_value, greedy_adaptive_value,
                      optimal_adaptive_value)
-from .strategies import (AGreedyPolicy, RandomPolicy, h_greedy_prune,
-                         static_greedy_select, static_seed_factory)
+from .strategies import (AGreedyPolicy, RandomPolicy, StaticSeedListPolicy,
+                         h_greedy_prune, static_greedy_select,
+                         static_seed_factory)
 
 CSV_HEADER = ("strategy,budget,replication,spread,rounds_used,seeds_used,"
               "gain_evaluations,wall_time_ms,master_seed")
 
 STRATEGIES = ("random", "greedy", "a-greedy", "h-greedy")
-
-# purpose tags for streams owned by the harness rather than replications
-_PURPOSE_SELECT = 10
-_PURPOSE_PRUNE = 11
 
 
 class ConfigError(ValueError):
@@ -104,11 +102,17 @@ def _check_settings(args):
         raise ConfigError(f"--delta must be a number in (0, 1), got {args.delta!r}")
 
 
-def _resolve_network(args, given, budgets=(1,)):
+def _resolve_network(args, given, budgets=None):
     """The configured network with seeding budget budgets[0], after checking
-    every budget against its node count.  A given --preset replaces the
-    edge law of a --net or --fixture network, and a given --activation its
-    activation."""
+    every budget against its node count, or at its own budget (a file's or a
+    fixture's, 1 for --gen) when budgets is None.  At most one of --net,
+    --gen and --fixture is given, typed or in --config (a null is not).  A
+    given --preset replaces the edge law of a --net or --fixture network,
+    and a given --activation its activation."""
+    sources = [_flag(k) for k in ("net", "gen", "fixture")
+               if k in given and getattr(args, k) is not None]
+    if sources[1:]:
+        raise ConfigError(f"give one network source, got {', '.join(sources)}")
     preset = parse_preset(args.preset, args.activation)
     if args.gen:
         try:
@@ -133,14 +137,19 @@ def _resolve_network(args, given, budgets=(1,)):
         if "activation" in given:
             net = dataclasses.replace(
                 net, activation=(preset.activation,) * net.node_count)
+    if budgets is None:
+        return net
     bad = next((b for b in budgets if not 1 <= b <= net.node_count), None)
     if bad is not None:
         raise ConfigError(f"budget {bad} outside [1, {net.node_count}]")
     return net.with_budget(budgets[0])    # keeps the views built by validation
 
 
-def _one_budget(args):
-    """The budget grid of a command that runs at a single budget."""
+def _one_budget(args, given):
+    """The budget grid of a command that runs at a single budget, or None
+    for the network's own budget when --budgets is not given."""
+    if "budgets" not in given:
+        return None
     budgets = _budget_grid(args.budgets)
     if budgets[1:]:
         raise ConfigError(f"{args.command} takes one budget, "
@@ -154,7 +163,7 @@ def _make_factory(strategy: str, net, args):
     if strategy == "random":
         return RandomPolicy, info
     if strategy == "greedy":
-        rng = substream(args.seed, net.budget, _PURPOSE_SELECT)
+        rng = substream(args.seed, net.budget, PURPOSE_SELECT)
         seeds, evals = static_greedy_select(net, net.budget, args.R, rng)
         info["selected_seeds"] = seeds
         info["selection_gain_evaluations"] = evals
@@ -162,7 +171,7 @@ def _make_factory(strategy: str, net, args):
     if strategy == "a-greedy":
         return functools.partial(AGreedyPolicy, net, args.R), info
     if strategy == "h-greedy":
-        rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
+        rng = substream(args.seed, net.budget, PURPOSE_PRUNE)
         candidates, stats = h_greedy_prune(net, args.R_pre, rng)
         info["pruned_fraction"] = stats["pruned_fraction"]
         info["candidates"] = len(candidates)
@@ -229,8 +238,8 @@ def cmd_run(args, given) -> int:
 
 
 def cmd_prune_stats(args, given) -> int:
-    net = _resolve_network(args, given, _one_budget(args))
-    rng = substream(args.seed, net.budget, _PURPOSE_PRUNE)
+    net = _resolve_network(args, given, _one_budget(args, given))
+    rng = substream(args.seed, net.budget, PURPOSE_PRUNE)
     _, stats = h_greedy_prune(net, args.R_pre, rng)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -251,7 +260,7 @@ def cmd_prune_stats(args, given) -> int:
 
 def _parse_oracle_policy(text: str, node_count: int):
     if text == "empty":
-        return lambda: static_seed_factory((), None)
+        return lambda: StaticSeedListPolicy(())
     kind, _, arg = text.partition(":")
     if kind == "static":
         try:
@@ -261,7 +270,7 @@ def _parse_oracle_policy(text: str, node_count: int):
         bad = [v for v in seeds if not 0 <= v < node_count]
         if bad:
             raise ConfigError(f"static seeds {bad} outside [0, {node_count})")
-        return lambda: static_seed_factory(seeds, None)
+        return lambda: StaticSeedListPolicy(seeds)
     raise ConfigError(f"unknown oracle policy {text!r}")
 
 
@@ -270,10 +279,10 @@ _ORACLE_ALIASES = {"pattern-optimality": "theorem1",
 
 
 def cmd_oracle(args, given) -> int:
-    net = _resolve_network(args, given, _one_budget(args))
+    net = _resolve_network(args, given, _one_budget(args, given))
     args.subject = _ORACLE_ALIASES.get(args.subject, args.subject)
     if args.subject == "properties":
-        rng = substream(args.seed, 0, 42)
+        rng = substream(args.seed, 0, PURPOSE_PROPERTIES)
         report = check_properties(net, args.trials, rng)
         print(f"trials={report['trials']} "
               f"monotonicity_violations={report['monotonicity_violations']} "
@@ -310,7 +319,8 @@ def cmd_oracle(args, given) -> int:
 def cmd_gen(args, given) -> int:
     if not args.gen:
         raise ConfigError("gen requires --gen n,edges,seed")
-    net = _resolve_network(args, given)    # the generator validates the net
+    # the generator validates the net
+    net = _resolve_network(args, given, _one_budget(args, given))
     save_network(net, args.out)
     print(f"wrote {net.node_count} nodes, {len(net.edges)} edges to {args.out}")
     return 0
@@ -330,11 +340,10 @@ def _option(p, name: str, **kw):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    src = p.add_mutually_exclusive_group()
-    _option(src, "net", help="network JSON file")
-    _option(src, "gen", metavar="n,edges,seed",
+    _option(p, "net", help="network JSON file")
+    _option(p, "gen", metavar="n,edges,seed",
             help="generate a power-law network")
-    _option(src, "fixture", choices=tuple(FIXTURES),
+    _option(p, "fixture", choices=tuple(FIXTURES),
             help="built-in demo network")
     _option(p, "preset", help="edge law: f1:p | f2:mean,bins | f3:v1,v2,...")
     _option(p, "activation", help="seed-activation probability for all nodes")

@@ -7,7 +7,6 @@ count; the reduction sums partial results in replication-index order.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -19,19 +18,22 @@ import numpy as np
 
 from .diffusion import run_policy
 from .model import DicNetwork
-from .realization import map_uniforms, sample_full
-from .strategies import _flat_keys, _flat_reach, static_seed_factory
+from .realization import PartialRealization, map_uniforms, sample_full
+from .strategies import (_DRAW_BYTES, StaticSeedListPolicy, _flat_keys,
+                         _flat_reach)
 
-# purpose tags keep the world stream and the policy's own stream independent
-PURPOSE_WORLD = 0
-PURPOSE_POLICY = 1
+# every stream's purpose, in one table: distinct purposes never collide
+PURPOSE_WORLD = 0           # replication i's world
+PURPOSE_POLICY = 1          # replication i's policy
+PURPOSE_SELECT = 10         # static greedy's selection, indexed by budget
+PURPOSE_PRUNE = 11          # h-greedy's prune, indexed by budget
+PURPOSE_PROPERTIES = 42     # the oracle's property trials, index 0
 
 SEED_LIMIT = 1 << 64        # a master seed is one 64-bit word of the key
 INDEX_LIMIT = 1 << 56       # the other packs (index << 8) | purpose into 64 bits
 
-# a block of static replications holds about BLOCK_BYTES of uniforms, in at
-# most BLOCK_ROWS rows; the block size changes no result
-BLOCK_BYTES = 1 << 20
+# a block of static replications holds about `_DRAW_BYTES` of uniforms, in
+# at most BLOCK_ROWS rows; the block size changes no result
 BLOCK_ROWS = 4096
 
 
@@ -135,32 +137,23 @@ def _run_chunk(net: DicNetwork, policy_factory, master_seed: int,
     return rows
 
 
-def _static_seeds(policy_factory):
-    """The seed list of `functools.partial(static_seed_factory, seeds)`, or
-    None for any other factory."""
-    if (isinstance(policy_factory, functools.partial)
-            and policy_factory.func is static_seed_factory
-            and len(policy_factory.args) == 1 and not policy_factory.keywords):
-        return tuple(policy_factory.args[0])
-    return None
-
-
-def _static_spread_total(net: DicNetwork, seeds, master_seed: int,
+def _static_spread_total(net: DicNetwork, roots, master_seed: int,
                          start: int, stop: int) -> int:
-    """Spread total of a static seed list over a replication range.
+    """Spread total over a replication range of the run whose one command,
+    a static seed list's, seeds the ascending nodes `roots`.
 
-    Its run seeds the list's first `budget` nodes at once and ends with what
-    those whose first attempt succeeds reach over successful edges, so it
-    needs no round-by-round driver.  Each replication's uniforms come from
-    its own world stream, as `sample_full` draws them, into one row of a
-    block; each block is mapped once and every row's reach is counted by one
-    search of the block's flat keys from the roots whose seeding succeeded.
+    It ends with what the roots whose first attempt succeeds reach over
+    successful edges, so it needs no round-by-round driver.  Each
+    replication's uniforms come from its own world stream, as `sample_full`
+    draws them, into one row of a block; each block is mapped once and every
+    row's reach is counted by one search of the block's flat keys from the
+    roots whose seeding succeeded.
     """
     n, b = net.node_count, net.budget
     width = n * b + 2 * len(net.edges)
-    roots = np.array(sorted(set(seeds[:b])), dtype=np.intp)
+    roots = np.array(roots, dtype=np.intp)
     pool = _StreamPool(master_seed)
-    block = np.empty((max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * width))),
+    block = np.empty((max(1, min(BLOCK_ROWS, _DRAW_BYTES // (8 * width))),
                       width))
     total = 0
     for lo in range(start, stop, len(block)):
@@ -225,10 +218,15 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
                            master_seed: int, delta: float = 0.01,
                            workers: int = 1) -> Estimate:
     """Mean spread of the policy over `replications` independent realizations,
-    with a Hoeffding half-width at confidence 1 - delta."""
-    seeds = _static_seeds(policy_factory)
-    if seeds is not None:
-        total = sum(_map_chunks(_static_spread_total, net, seeds, master_seed,
+    with a Hoeffding half-width at confidence 1 - delta.
+
+    When replication 0's policy is a `StaticSeedListPolicy`, every one is
+    taken to seed that list: its command's spread is counted a block at a
+    time, and only the command goes to the workers."""
+    policy = policy_factory(substream(master_seed, 0, PURPOSE_POLICY))
+    if type(policy) is StaticSeedListPolicy:
+        roots = sorted(policy.decide(net, PartialRealization()) or ())
+        total = sum(_map_chunks(_static_spread_total, net, roots, master_seed,
                                 replications, workers))
     else:                        # one chunk of results alive at a time
         total = sum(sum(r.spread for r in rows)

@@ -66,7 +66,8 @@ class RandomPolicy:
 
 
 class StaticSeedListPolicy:
-    """Executes a precomputed seed list in a single opening step."""
+    """Executes a precomputed seed list in a single opening step: one
+    command, the distinct nodes of its first `budget` entries."""
 
     def __init__(self, seeds):
         self.seeds = tuple(seeds)
@@ -103,7 +104,8 @@ def static_seed_factory(seeds, rng):
 # ---------------------------------------------------------------------------
 
 _REACH_SLICE = 8192         # live edges whose worlds reach_totals counts at once
-_DRAW_BYTES = 1 << 20       # uniforms static greedy draws at a time
+_DRAW_BYTES = 1 << 20       # uniforms static greedy and the static estimate
+                            # draw at a time; the size changes no result
 
 
 def _bernoulli_positions(rng, total: int, p: float) -> np.ndarray:

@@ -224,6 +224,10 @@ def test_gen_round_trip(tmp_path):
     net = load_network(out)
     want = generate_power_law(30, 120, 9, parse_preset("f1:0.05", 0.4), 1)
     assert net == want
+    # a given budget is written to the file
+    assert main(["gen", "--gen", "30,120,9", "--preset", "f1:0.05",
+                 "--activation", "0.4", "--budgets", "5", "--out", out]) == 0
+    assert load_network(out) == want.with_budget(5)
 
 
 def test_prune_stats_fully_symmetric_network(tmp_path, capsys):
@@ -281,6 +285,8 @@ def test_budgets_and_static_seeds_out_of_range_exit_2(tmp_path, capsys):
     assert main(["prune-stats", "--gen", "5,8,1", "--budgets", "6",
                  "--out", out]) == 2
     assert "budget 6 outside [1, 5]" in capsys.readouterr().err
+    assert main(["gen", "--gen", "5,8,1", "--budgets", "6", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: budget 6 outside [1, 5]\n"
     # a span is checked against the node count before any list is built
     assert main(["run", "--fixture", "two-node", "--budgets", "1..100000000000",
                  "--reps", "2", "--strategies", "random", "--out", out]) == 2
@@ -293,12 +299,65 @@ def test_budgets_and_static_seeds_out_of_range_exit_2(tmp_path, capsys):
     assert main(["prune-stats", "--fixture", "g1", "--budgets", "1,2",
                  "--R-pre", "20", "--out", out]) == 2
     assert _one_line_error(capsys)
+    assert main(["gen", "--gen", "5,8,1", "--budgets", "1..2",
+                 "--out", out]) == 2
+    assert _one_line_error(capsys)
     assert list(tmp_path.iterdir()) == []
     assert main(["oracle", "exact-value", "--fixture", "two-node",
                  "--budgets", "1", "--policy", "static:7"]) == 2
     assert "static seeds [7] outside [0, 2)" in capsys.readouterr().err
     assert main(["oracle", "exact-value", "--fixture", "two-node",
                  "--budgets", "1", "--policy", "static:x"]) == 2
+
+
+def test_one_network_source_typed_or_from_config(tmp_path, capsys):
+    # --net, --gen and --fixture name one network between them, whether
+    # typed or in --config; a null in the config names none
+    net = str(tmp_path / "net.json")
+    save_network(generate_power_law(20, 40, 1, parse_preset("f1:0.1"), 1),
+                 net)
+    out = str(tmp_path / "p.csv")
+    cfg = tmp_path / "c.json"
+    for typed, fields in ((["--net", net], {"gen": "30,60,2"}),
+                          ([], {"net": net, "gen": "30,60,2"}),
+                          (["--gen", "30,60,2"], {"fixture": "g1"}),
+                          (["--net", net, "--gen", "30,60,2"], {}),
+                          (["--fixture", "g1", "--net", net], {})):
+        cfg.write_text(json.dumps(fields))
+        capsys.readouterr()
+        assert main(["prune-stats", *typed, "--config", str(cfg),
+                     "--R-pre", "20", "--out", out]) == 2, (typed, fields)
+        assert _one_line_error(capsys)
+        assert not (tmp_path / "p.csv").exists()
+    cfg.write_text(json.dumps({"gen": None, "fixture": "g1"}))
+    assert main(["prune-stats", "--config", str(cfg), "--R-pre", "20",
+                 "--out", out]) == 0
+    cfg.write_text(json.dumps({"gen": None}))
+    assert main(["prune-stats", "--net", net, "--config", str(cfg),
+                 "--R-pre", "20", "--out", out]) == 0
+    assert len(_read_rows(out)) == 1 + 20
+
+
+def test_single_budget_commands_default_to_the_networks_budget(tmp_path,
+                                                                capsys):
+    # without --budgets, oracle and prune-stats run at the network's own
+    # budget (g1's is 3, two-node's 1, a generated net's 1)
+    assert main(["oracle", "theorem2", "--fixture", "two-node"]) == 0
+    assert capsys.readouterr().out == ("greedy=1.480000 optimal=1.480000 "
+                                       "bound=0.935538 ratio=1.0000 [ok]\n")
+    outputs = []
+    for budgets in ([], ["--budgets", "3"]):
+        out = str(tmp_path / f"g1{len(budgets)}.csv")
+        assert main(["prune-stats", "--fixture", "g1", *budgets,
+                     "--R-pre", "20", "--out", out]) == 0
+        outputs.append((capsys.readouterr().out, _read_rows(out)))
+    assert outputs[0] == outputs[1]
+    for budgets in ([], ["--budgets", "1"]):
+        out = str(tmp_path / f"gen{len(budgets)}.csv")
+        assert main(["prune-stats", "--gen", "12,40,1", *budgets,
+                     "--R-pre", "20", "--out", out]) == 0
+        outputs.append(_read_rows(out))
+    assert outputs[2] == outputs[3]
 
 
 def test_run_generates_its_network_once(tmp_path):
@@ -483,7 +542,8 @@ def _config_text(draw, names, small):
 def test_random_config_objects_exit_with_a_code(tmp_path, command):
     # whatever the --config file holds, `dicnet` returns an exit code, and
     # an exit of 2, 3 or 4 comes with one `error:` line; the oracle runs on
-    # the two-node fixture unless the config names a --net or --gen network
+    # the typed two-node fixture, and exits 2 if the config names a --net or
+    # --gen network too
     save_network(two_node_fixture(), str(tmp_path / "NET"))
     (tmp_path / "bad.json").write_text('{"nodes": 2}')
     cfg = tmp_path / "config.json"

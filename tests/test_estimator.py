@@ -20,13 +20,19 @@ from dicnet.data import generate_power_law, parse_preset
 from dicnet.fixtures import fixture_g1, random_tiny_network, two_node_fixture
 from dicnet.model import DicNetwork
 from dicnet.oracle import exact_policy_value
-from dicnet.realization import sample_full
+from dicnet.realization import PartialRealization, sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy,
                                StaticSeedListPolicy, static_seed_factory)
 
 
 def _one_node(p=0.5):
     return DicNetwork(1, (p,), (), 1)
+
+
+def _roots(net, seeds):
+    """The ascending nodes of a static seed list's one command."""
+    return sorted(StaticSeedListPolicy(seeds).decide(net, PartialRealization())
+                  or ())
 
 
 def test_hoeffding_samples_reference_value():
@@ -246,16 +252,17 @@ def test_static_spread_sum_matches_driven_runs(seed):
     factory = functools.partial(static_seed_factory, seeds)
     spreads = [r.spread for r in run_replications(net, factory, 40,
                                                   master_seed=seed)]
+    roots = _roots(net, seeds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dicnet.estimator, "BLOCK_ROWS", 7)
         for i, spread in enumerate(spreads):
-            assert _static_spread_total(net, seeds, seed, i, i + 1) == spread
+            assert _static_spread_total(net, roots, seed, i, i + 1) == spread
         for _ in range(4):
             a, b = sorted(int(i) for i in rng.integers(0, 41, size=2))
             if a < b:
-                assert (_static_spread_total(net, seeds, seed, a, b)
+                assert (_static_spread_total(net, roots, seed, a, b)
                         == sum(spreads[a:b]))
-        assert _static_spread_total(net, seeds, seed, 0, 40) == sum(spreads)
+        assert _static_spread_total(net, roots, seed, 0, 40) == sum(spreads)
 
 
 def test_static_spread_sum_on_a_generated_net(monkeypatch):
@@ -268,7 +275,32 @@ def test_static_spread_sum_on_a_generated_net(monkeypatch):
     spreads = [r.spread for r in run_replications(net, factory, 30,
                                                   master_seed=11)]
     assert max(spreads) > 5
-    assert _static_spread_total(net, seeds, 11, 4, 30) == sum(spreads[4:])
+    assert (_static_spread_total(net, _roots(net, seeds), 11, 4, 30)
+            == sum(spreads[4:]))
+
+
+def test_any_factory_of_a_static_list_takes_the_block_path(monkeypatch):
+    # the estimator recognises a static list by the policy its factory
+    # builds, so a lambda's list is counted a block at a time, and only its
+    # roots go to the workers: no run is driven at one worker or at two
+    net = generate_power_law(60, 400, 5, parse_preset("f3:0.2,0.5,0.9"), 4,
+                             skew=1.0)
+    seeds = [3, 0, 3, 17, 42]
+    driven = sum(r.spread for r in run_replications(
+        net, lambda rng: StaticSeedListPolicy(seeds), 30, master_seed=11))
+
+    def no_run(*args):
+        raise AssertionError("a static list's run was driven")
+
+    monkeypatch.setattr(dicnet.estimator, "run_policy", no_run)
+    for factory in (lambda rng: StaticSeedListPolicy(seeds),
+                    functools.partial(static_seed_factory, seeds)):
+        for workers in (1, 2):
+            est = estimate_policy_spread(net, factory, 30, master_seed=11,
+                                         workers=workers)
+            assert est.mean == driven / 30
+    with pytest.raises(AssertionError):
+        estimate_policy_spread(net, RandomPolicy, 30, master_seed=11)
 
 
 def test_driven_estimate_holds_one_chunk_of_results(monkeypatch):
