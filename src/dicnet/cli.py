@@ -114,7 +114,7 @@ def _resolve_network(args, given, budgets=None):
     if sources[1:]:
         raise ConfigError(f"give one network source, got {', '.join(sources)}")
     preset = parse_preset(args.preset, args.activation)
-    if args.gen:
+    if args.gen is not None:
         try:
             n_s, m_s, s_s = args.gen.split(",")
             n, m, s = int(n_s), int(m_s), int(s_s)
@@ -125,7 +125,7 @@ def _resolve_network(args, given, budgets=None):
                               f"got {s!r}")
         net = generate_power_law(n, m, s, preset, budget=1)
     else:
-        if args.net:
+        if args.net is not None:
             net = load_network(args.net)
         elif args.fixture in FIXTURES:
             net = FIXTURES[args.fixture]()

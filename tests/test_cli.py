@@ -336,6 +336,13 @@ def test_one_network_source_typed_or_from_config(tmp_path, capsys):
     assert main(["prune-stats", "--net", net, "--config", str(cfg),
                  "--R-pre", "20", "--out", out]) == 0
     assert len(_read_rows(out)) == 1 + 20
+    # an empty source is named too: it fails rather than run the fixture
+    capsys.readouterr()
+    for flag, code in (("--gen", 2), ("--net", 4)):
+        assert main(["prune-stats", flag, "", "--R-pre", "20",
+                     "--out", str(tmp_path / "e.csv")]) == code, flag
+        assert _one_line_error(capsys)
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_single_budget_commands_default_to_the_networks_budget(tmp_path,
