@@ -94,7 +94,9 @@ class ReplicationResult:
 
 class _StreamPool:
     """Reusable generators producing exactly the `substream` streams, without
-    paying bit-generator construction per replication."""
+    paying bit-generator construction per replication: `get` re-keys one
+    Philox per purpose from a state template of plain ints, which the state
+    setter copies without converting a numpy scalar."""
 
     def __init__(self, master_seed: int):
         _check_master_seed(master_seed)
@@ -105,18 +107,18 @@ class _StreamPool:
         slot = self._slots.get(purpose)
         if slot is None:
             bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-            key = np.array([self.master_seed, 0], dtype=np.uint64)
+            key = [self.master_seed, 0]
             template = {
                 "bit_generator": "Philox",
-                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                "buffer": np.zeros(4, dtype=np.uint64),
+                "state": {"counter": (0, 0, 0, 0), "key": key},
+                "buffer": (0, 0, 0, 0),
                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
             slot = (bitgen, np.random.Generator(bitgen), template, key)
             self._slots[purpose] = slot
         bitgen, gen, template, key = slot
         key[1] = (index << 8) | purpose
-        bitgen.state = template            # setter copies the array contents
+        bitgen.state = template            # the setter copies the ints
         return gen
 
 
@@ -220,11 +222,15 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
     """Mean spread of the policy over `replications` independent realizations,
     with a Hoeffding half-width at confidence 1 - delta.
 
-    When replication 0's policy is a `StaticSeedListPolicy`, every one is
-    taken to seed that list: its command's spread is counted a block at a
-    time, and only the command goes to the workers."""
-    policy = policy_factory(substream(master_seed, 0, PURPOSE_POLICY))
-    if type(policy) is StaticSeedListPolicy:
+    When replication 0's policy is a `StaticSeedListPolicy` built without a
+    draw from its stream, every one is taken to seed that list: its
+    command's spread is counted a block at a time, and only the command goes
+    to the workers."""
+    rng = substream(master_seed, 0, PURPOSE_POLICY)
+    policy = policy_factory(rng)
+    state = rng.bit_generator.state     # a draw moves the counter
+    if (type(policy) is StaticSeedListPolicy and state["buffer_pos"] == 4
+            and not state["state"]["counter"].any()):
         roots = sorted(policy.decide(net, PartialRealization()) or ())
         total = sum(_map_chunks(_static_spread_total, net, roots, master_seed,
                                 replications, workers))

@@ -119,9 +119,9 @@ def exact_policy_value(net: DicNetwork, policy_factory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _round_branches(net: DicNetwork, belief, seeds):
-    """All outcomes of one simultaneous round: list of (prob, belief)."""
-    active, spent, pending = belief
+def _round_branches(net: DicNetwork, active, pending, seeds, reveals):
+    """All outcomes of one simultaneous round, as (prob, active, pending);
+    `reveals[eidx]` is edge eidx's ((eidx, value), mass) options."""
     # each seeding attempt and each pending edge attempt either hits its
     # node or misses (None)
     options = []
@@ -130,7 +130,6 @@ def _round_branches(net: DicNetwork, belief, seeds):
         options.append(((v, p), (None, 1.0 - p)))
     for eidx, value in pending:
         options.append(((net.edges[eidx][1], value), (None, 1.0 - value)))
-    new_spent = spent + len(seeds)
     out = []
     for combo in itertools.product(*options):
         prob = 1.0
@@ -142,24 +141,21 @@ def _round_branches(net: DicNetwork, belief, seeds):
         if prob == 0.0:
             continue
         newly -= active
+        if not newly:                   # nothing turns active, nothing revealed
+            out.append((prob, active, ()))
+            continue
         new_active = active | newly
         # reveal draws on the new frontier's out-edges toward inactive targets
-        reveal_opts = []
-        for z in sorted(newly):
-            for eidx, w in net.out_edges[z]:
-                if w in new_active:
-                    continue
-                dist = net.edges[eidx][2]
-                reveal_opts.append(tuple(((eidx, value), mass)
-                                         for value, mass in zip(dist.values, dist.masses)))
+        reveal_opts = [reveals[eidx] for z in sorted(newly)
+                       for eidx, w in net.out_edges[z] if w not in new_active]
         for reveal in itertools.product(*reveal_opts):
             rprob = prob
             for _, mass in reveal:
                 rprob *= mass
             if rprob == 0.0:
                 continue
-            out.append((rprob, (new_active, new_spent,
-                                tuple(sorted(draw for draw, _ in reveal)))))
+            out.append((rprob, new_active,
+                        tuple(sorted(draw for draw, _ in reveal))))
     return out
 
 
@@ -213,9 +209,21 @@ def _induction(net: DicNetwork, moves) -> float:
 
     `moves(belief, step)` is None once the run has ended, and the state is
     worth its active count.  Otherwise it is (seed sets, next step) and the
-    state is worth the best seed set's expectation over one round.
+    state is worth the best seed set's expectation over one round.  A
+    round's outcomes do not depend on the attempts spent, so they are
+    memoised under (active, pending, seeds) for this induction alone.
     """
     memo: dict = {}
+    rounds: dict = {}
+    reveals = [tuple(((eidx, value), mass)
+                     for value, mass in zip(dist.values, dist.masses))
+               for eidx, (_, _, dist) in enumerate(net.edges)]
+
+    def branches(active, pending, seeds):
+        key = (active, pending, seeds)
+        if key not in rounds:
+            rounds[key] = _round_branches(net, active, pending, seeds, reveals)
+        return rounds[key]
 
     def value(belief, step) -> float:
         key = (belief, step)
@@ -225,9 +233,10 @@ def _induction(net: DicNetwork, moves) -> float:
         if options is None:
             result = float(len(belief[0]))
         else:
+            active, spent, pending = belief
             seed_sets, after = options
-            result = max(sum(p * value(b, after)
-                             for p, b in _round_branches(net, belief, seeds))
+            result = max(sum(p * value((a, spent + len(seeds), d), after)
+                             for p, a, d in branches(active, pending, seeds))
                          for seeds in seed_sets)
         memo[key] = result
         return result
@@ -239,7 +248,8 @@ def _induction(net: DicNetwork, moves) -> float:
 def _adaptive_moves(net: DicNetwork, greedy: bool):
     """One seed at each quiescence until the budget runs out: the best
     eligible node for the optimum, the one with the largest exact gain for
-    greedy."""
+    greedy, computed once per active set."""
+    picks: dict = {}
 
     def moves(belief, step):
         active, spent, pending = belief
@@ -249,7 +259,9 @@ def _adaptive_moves(net: DicNetwork, greedy: bool):
         if spent >= net.budget or not elig:
             return None
         if greedy:
-            return ((_exact_argmax(net, active, elig),),), step
+            if active not in picks:
+                picks[active] = _exact_argmax(net, active, elig)
+            return ((picks[active],),), step
         return [(v,) for v in elig], step
 
     return moves

@@ -61,8 +61,9 @@ class RandomPolicy:
         self._dropped |= newly
         if not elig:
             return None
-        picks = self.rng.choice(elig, size=1, replace=False)
-        return frozenset(int(v) for v in picks)
+        # the pick by index draws as a pick from the list would
+        i = self.rng.choice(len(elig), size=1, replace=False)[0]
+        return frozenset((elig[i],))
 
 
 class StaticSeedListPolicy:

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import dicnet.estimator
 from dicnet.diffusion import run_policy
-from dicnet.estimator import (Estimate, _StreamPool, _static_spread_total,
+from dicnet.estimator import (PURPOSE_POLICY, PURPOSE_PROPERTIES,
+                              PURPOSE_PRUNE, PURPOSE_SELECT, PURPOSE_WORLD,
+                              Estimate, _StreamPool, _static_spread_total,
                               estimate_policy_spread, half_width,
                               hoeffding_samples, run_replications, substream)
 from dicnet.data import generate_power_law, parse_preset
@@ -97,11 +99,26 @@ def test_substream_rejects_keys_that_would_collide():
 
 
 def test_stream_pool_reproduces_substream_exactly():
-    pool = _StreamPool(42)
-    for index, purpose in [(0, 0), (3, 1), (0, 0), (7, 0), (3, 1)]:
-        got = pool.get(index, purpose).random(8)
-        want = substream(42, index, purpose).random(8)
-        assert np.array_equal(got, want), (index, purpose)
+    # at the largest master seed and index, for every purpose and several
+    # kinds of draw; the first draw leaves a 32-bit half buffered (an odd
+    # count of uint32 draws) and the second gets its stream straight after,
+    # and the odd sizes leave 64-bit words buffered
+    purposes = (PURPOSE_WORLD, PURPOSE_POLICY, PURPOSE_SELECT, PURPOSE_PRUNE,
+                PURPOSE_PROPERTIES)
+    uint32 = lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+    draws = (uint32, uint32,
+             lambda g: g.random(7),
+             lambda g: g.integers(0, 1000, size=5),
+             lambda g: g.geometric(0.3, size=5),
+             lambda g: g.choice(50, size=5, replace=False))
+    for seed in (42, 2 ** 64 - 1):
+        pool = _StreamPool(seed)
+        for index in (0, 3, 7, 3, 2 ** 56 - 1, 0):
+            for purpose in purposes:
+                for k, draw in enumerate(draws):
+                    got = draw(pool.get(index, purpose))
+                    want = draw(substream(seed, index, purpose))
+                    assert np.array_equal(got, want), (seed, index, purpose, k)
 
 
 def test_policies_draw_from_their_replications_policy_stream():
@@ -301,6 +318,17 @@ def test_any_factory_of_a_static_list_takes_the_block_path(monkeypatch):
             assert est.mean == driven / 30
     with pytest.raises(AssertionError):
         estimate_policy_spread(net, RandomPolicy, 30, master_seed=11)
+
+
+def test_a_factory_that_draws_its_list_is_driven():
+    # a static list drawn from the policy stream differs between
+    # replications, so it is not counted as replication 0's list
+    net = two_node_fixture()
+    factory = lambda rng: StaticSeedListPolicy([int(rng.integers(2))])
+    driven = sum(r.spread for r in run_replications(net, factory, 2000,
+                                                    master_seed=5))
+    est = estimate_policy_spread(net, factory, 2000, master_seed=5)
+    assert est.mean == driven / 2000 == 1.232
 
 
 def test_driven_estimate_holds_one_chunk_of_results(monkeypatch):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dicnet.diffusion import run_policy
@@ -24,13 +24,14 @@ from dicnet.fixtures import (TWO_POINT, chain_network, fixture_g1,
                              random_tiny_network, star_network,
                              two_node_fixture)
 from dicnet.model import DicNetwork
-from dicnet.oracle import (EnumerationGuard, ExactGainPolicy, build_auxiliary,
+from dicnet.oracle import (EnumerationGuard, ExactGainPolicy, _check_guard,
+                           _exact_argmax, _pattern_moves, build_auxiliary,
                            check_properties, enumerate_realizations,
                            enumerate_schedules, exact_marginal_gain,
                            exact_policy_value, greedy_adaptive_value,
                            optimal_adaptive_value, realization_count)
 from dicnet.realization import probability_of
-from dicnet.strategies import StaticSeedListPolicy
+from dicnet.strategies import StaticSeedListPolicy, _eligible_nodes
 
 
 def _three_path():
@@ -213,6 +214,107 @@ def test_exact_values_are_pinned_bit_for_bit():
         lines.append(repr(greedy_adaptive_value(net)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _TINY_VALUES_SHA256
+
+
+def _reference_round_branches(net, belief, seeds):
+    """One round's outcomes rebuilt from the belief at every call, with each
+    edge's reveal options rebuilt per branch: the reference for the
+    induction's memoised rounds."""
+    active, spent, pending = belief
+    options = []
+    for v in seeds:
+        p = net.activation[v]
+        options.append(((v, p), (None, 1.0 - p)))
+    for eidx, value in pending:
+        options.append(((net.edges[eidx][1], value), (None, 1.0 - value)))
+    new_spent = spent + len(seeds)
+    out = []
+    for combo in itertools.product(*options):
+        prob = 1.0
+        newly = set()
+        for hit, p in combo:
+            prob *= p
+            if hit is not None:
+                newly.add(hit)
+        if prob == 0.0:
+            continue
+        newly -= active
+        new_active = active | newly
+        reveal_opts = []
+        for z in sorted(newly):
+            for eidx, w in net.out_edges[z]:
+                if w in new_active:
+                    continue
+                dist = net.edges[eidx][2]
+                reveal_opts.append(tuple(
+                    ((eidx, value), mass)
+                    for value, mass in zip(dist.values, dist.masses)))
+        for reveal in itertools.product(*reveal_opts):
+            rprob = prob
+            for _, mass in reveal:
+                rprob *= mass
+            if rprob == 0.0:
+                continue
+            out.append((rprob, (new_active, new_spent,
+                                tuple(sorted(draw for draw, _ in reveal)))))
+    return out
+
+
+def _reference_induction(net, moves):
+    """Backward induction that recomputes every round's outcomes."""
+    memo = {}
+
+    def value(belief, step):
+        key = (belief, step)
+        if key in memo:
+            return memo[key]
+        options = moves(belief, step)
+        if options is None:
+            result = float(len(belief[0]))
+        else:
+            seed_sets, after = options
+            result = max(sum(p * value(b, after) for p, b in
+                             _reference_round_branches(net, belief, seeds))
+                         for seeds in seed_sets)
+        memo[key] = result
+        return result
+
+    _check_guard(net)
+    return value((frozenset(), 0, ()), 0)
+
+
+def _reference_adaptive_moves(net, greedy):
+    """The adaptive rule with greedy's pick computed at every state."""
+
+    def moves(belief, step):
+        active, spent, pending = belief
+        if pending:
+            return ((),), step
+        elig = _eligible_nodes(net, active)
+        if spent >= net.budget or not elig:
+            return None
+        if greedy:
+            return ((_exact_argmax(net, active, elig),),), step
+        return [(v,) for v in elig], step
+
+    return moves
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 3))
+def test_induction_matches_the_reference_bit_for_bit(seed, max_nodes, budget):
+    # memoised rounds, the reveal table, the one-branch shortcut and
+    # greedy's pick per active set change no value in its last bit
+    net = random_tiny_network(np.random.default_rng(seed),
+                              max_nodes=max_nodes, budget=budget)
+    assume(any(len(dist.values) == 2 for _, _, dist in net.edges))
+    assert optimal_adaptive_value(net, "adaptive") == _reference_induction(
+        net, _reference_adaptive_moves(net, False))
+    assert greedy_adaptive_value(net) == _reference_induction(
+        net, _reference_adaptive_moves(net, True))
+    for sched in enumerate_schedules(net.budget, 4):
+        assert optimal_adaptive_value(net, sched) == _reference_induction(
+            net, _pattern_moves(net, sched)), sched
 
 
 def test_exact_gain_policy_runs():

@@ -153,6 +153,21 @@ def test_random_policy_keeps_the_draws_of_a_full_scan():
     assert kept.spread > len(kept.seeds)        # cascades did run
 
 
+def test_random_policy_picks_by_index_as_from_the_list():
+    # a pick by index draws from the population size alone, as the pick
+    # from the list does: the same picks, with the stream left in the same
+    # state, at 2500 eligible nodes that never turn active and on a list
+    # that shrinks to nothing
+    for net in (_edgeless(2500, 0.0, 1000), _edgeless(300, 1.0, 300)):
+        x = sample_full(net, np.random.default_rng(7))
+        rngs = [np.random.default_rng(8), np.random.default_rng(8)]
+        kept = run_policy(net, RandomPolicy(rngs[0]), x)
+        scan = run_policy(net, _ScanningRandomPolicy(rngs[1]), x)
+        assert kept.seeds == scan.seeds
+        assert len(kept.seeds) == net.budget
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_static_seed_list_truncates_to_remaining_budget():
     net = _edgeless(5, 1.0, 2)
     x = sample_full(net, np.random.default_rng(6))
