@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .model import (DicNetwork, PropagationDistribution, fixed_distribution,
                     mean_propagation, quantize_exponential,
                     uniform_discrete_distribution, validate_network)
-from .realization import (FullRealization, PartialRealization, probability_of,
+from .realization import (FullRealization, PartialRealization, log_probability,
                           sample_full)
 from .diffusion import (EMPTY_COMMAND, DiffusionState, InvalidCommand,
                         PolicyRun, run_policy, run_to_quiescence, spread_count,

@@ -2,17 +2,18 @@
 
 Provides the auxiliary-graph expansion (one attempt node per seeding slot,
 one parallel edge per support value), exhaustive enumeration of full
-realizations, exact policy values, and the exact values of the optimal
-adaptive, the exact-greedy and each explicit seeding pattern, all computed by
-one backward induction over belief states.  Everything here is guarded to
-desk-scale instances and exists to cross-check the Monte Carlo side.
+realizations, exact policy values, and one belief-state engine for the rest:
+its backward induction gives the exact values of the optimal adaptive, the
+exact-greedy and each explicit seeding pattern, and its drained cascades give
+greedy's exact conditional gains.  Everything here is guarded by one
+realization count to desk-scale instances and exists to cross-check the Monte
+Carlo side.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .diffusion import EMPTY_COMMAND, run_policy, spread_count
@@ -21,7 +22,6 @@ from .realization import FullRealization, sample_full
 from .strategies import _eligible_nodes, observably_quiescent
 
 ENUMERATION_GUARD = 2 ** 24
-GAIN_EDGE_GUARD = 20
 
 
 class EnumerationGuard(RuntimeError):
@@ -159,96 +159,87 @@ def _round_branches(net: DicNetwork, active, pending, seeds, reveals):
     return out
 
 
+class _Engine:
+    """One call's belief engine.  A round's outcomes do not depend on the
+    attempts spent, so they are memoised under (active, pending, seeds), and
+    the value recursion and greedy's gains share them.  The memo lives as
+    long as the engine: one induction or one greedy decision."""
+
+    def __init__(self, net: DicNetwork):
+        _check_guard(net)
+        self.net = net
+        self.rounds: dict = {}
+        self.drained: dict = {}
+        self.reveals = [tuple(((eidx, value), mass)
+                              for value, mass in zip(dist.values, dist.masses))
+                        for eidx, (_, _, dist) in enumerate(net.edges)]
+
+    def branches(self, active, pending, seeds):
+        key = (active, pending, seeds)
+        if key not in self.rounds:
+            self.rounds[key] = _round_branches(self.net, active, pending,
+                                               seeds, self.reveals)
+        return self.rounds[key]
+
+    def drain(self, active, pending) -> float:
+        """Expected active count once the cascade settles, seeding nothing."""
+        if not pending:
+            return float(len(active))
+        key = (active, pending)
+        if key not in self.drained:
+            self.drained[key] = sum(p * self.drain(a, d) for p, a, d
+                                    in self.branches(active, pending, ()))
+        return self.drained[key]
+
+    def gain(self, active, v) -> float:
+        """Exact conditional gain of seeding v at quiescence: the expected
+        active count after v's round and the cascade it starts, minus the
+        active count now."""
+        return sum(p * self.drain(a, d) for p, a, d
+                   in self.branches(active, (), (v,))) - len(active)
+
+    def solve(self, moves) -> float:
+        """Backward induction over (belief, step) states.
+
+        `moves(belief, step)` is None once the run has ended, and the state
+        is worth its active count.  Otherwise it is (seed sets, next step)
+        and the state is worth the best seed set's expectation over one
+        round.
+        """
+        memo: dict = {}
+        branches = self.branches
+
+        def value(belief, step) -> float:
+            key = (belief, step)
+            if key in memo:
+                return memo[key]
+            options = moves(belief, step)
+            if options is None:
+                result = float(len(belief[0]))
+            else:
+                active, spent, pending = belief
+                seed_sets, after = options
+                result = max(
+                    sum(p * value((a, spent + len(seeds), d), after)
+                        for p, a, d in branches(active, pending, seeds))
+                    for seeds in seed_sets)
+            memo[key] = result
+            return result
+
+        return value((frozenset(), 0, ()), 0)  # nothing active, spent or pending
+
+
 def exact_marginal_gain(net: DicNetwork, active, v) -> float:
     """Exact conditional gain of seeding v now, given the active set: v's
     activation probability times the expected number of inactive nodes v
-    reaches (v included).  Every spent edge starts at an active node, which
-    the search never enters, so no spent-edge mask is needed."""
-    relevant = []
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for eidx, w in net.out_edges[u]:
-            if w in active:
-                continue
-            relevant.append(eidx)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    k = len(relevant)
-    if k > GAIN_EDGE_GUARD:
-        raise EnumerationGuard(2 ** k)
-    means = net.edge_arrays[2][relevant].tolist()
-    expected = 0.0
-    for mask in range(2 ** k):
-        prob = 1.0
-        live = set()
-        for i in range(k):
-            if mask >> i & 1:
-                prob *= means[i]
-                live.add(relevant[i])
-            else:
-                prob *= 1.0 - means[i]
-        if prob == 0.0:
-            continue
-        reach = {v}
-        queue = deque((v,))
-        while queue:
-            u = queue.popleft()
-            for eidx, w in net.out_edges[u]:
-                if eidx in live and w not in reach and w not in active:
-                    reach.add(w)
-                    queue.append(w)
-        expected += prob * len(reach)
-    return net.activation[v] * expected
+    reaches (v included), computed by the belief engine."""
+    return _Engine(net).gain(frozenset(active), v)
 
 
-def _induction(net: DicNetwork, moves) -> float:
-    """Backward induction over (belief, step) states.
-
-    `moves(belief, step)` is None once the run has ended, and the state is
-    worth its active count.  Otherwise it is (seed sets, next step) and the
-    state is worth the best seed set's expectation over one round.  A
-    round's outcomes do not depend on the attempts spent, so they are
-    memoised under (active, pending, seeds) for this induction alone.
-    """
-    memo: dict = {}
-    rounds: dict = {}
-    reveals = [tuple(((eidx, value), mass)
-                     for value, mass in zip(dist.values, dist.masses))
-               for eidx, (_, _, dist) in enumerate(net.edges)]
-
-    def branches(active, pending, seeds):
-        key = (active, pending, seeds)
-        if key not in rounds:
-            rounds[key] = _round_branches(net, active, pending, seeds, reveals)
-        return rounds[key]
-
-    def value(belief, step) -> float:
-        key = (belief, step)
-        if key in memo:
-            return memo[key]
-        options = moves(belief, step)
-        if options is None:
-            result = float(len(belief[0]))
-        else:
-            active, spent, pending = belief
-            seed_sets, after = options
-            result = max(sum(p * value((a, spent + len(seeds), d), after)
-                             for p, a, d in branches(active, pending, seeds))
-                         for seeds in seed_sets)
-        memo[key] = result
-        return result
-
-    _check_guard(net)
-    return value((frozenset(), 0, ()), 0)  # nothing active, spent or pending
-
-
-def _adaptive_moves(net: DicNetwork, greedy: bool):
+def _adaptive_moves(net: DicNetwork, gain=None):
     """One seed at each quiescence until the budget runs out: the best
-    eligible node for the optimum, the one with the largest exact gain for
-    greedy, computed once per active set."""
+    eligible node for the optimum or, given `gain(active, v)`, greedy's node
+    of largest gain, computed once per active set."""
     picks: dict = {}
 
     def moves(belief, step):
@@ -258,9 +249,9 @@ def _adaptive_moves(net: DicNetwork, greedy: bool):
         elig = _eligible_nodes(net, active)
         if spent >= net.budget or not elig:
             return None
-        if greedy:
+        if gain is not None:
             if active not in picks:
-                picks[active] = _exact_argmax(net, active, elig)
+                picks[active] = _exact_argmax(gain, active, elig)
             return ((picks[active],),), step
         return [(v,) for v in elig], step
 
@@ -283,23 +274,24 @@ def _pattern_moves(net: DicNetwork, schedule):
     return moves
 
 
-def _exact_argmax(net: DicNetwork, active, eligible):
-    """The eligible node with the largest exact marginal gain; ties (within
+def _exact_argmax(gain, active, eligible):
+    """The eligible node with the largest `gain(active, v)`; ties (within
     1e-12) go to the earliest in `eligible`."""
     best, best_gain = None, -1.0
     for v in eligible:
-        gain = exact_marginal_gain(net, active, v)
-        if gain > best_gain + 1e-12:
-            best, best_gain = v, gain
+        g = gain(active, v)
+        if g > best_gain + 1e-12:
+            best, best_gain = v, g
     return best
 
 
 class ExactGainPolicy:
     """Adaptive greedy with exactly computed conditional gains.
 
-    Behaves like the Monte Carlo greedy policy but evaluates each candidate
-    by exhaustive enumeration over the fresh edges it could reach, so its
-    runs are deterministic given the realization.
+    Behaves like the Monte Carlo greedy policy but scores each candidate
+    with the belief engine's exact gain, so its runs are deterministic given
+    the realization.  Each decision builds one engine, so its candidates
+    share round outcomes.
     """
 
     def __init__(self):
@@ -312,13 +304,16 @@ class ExactGainPolicy:
         if not elig:
             return None
         self.gain_evaluations += len(elig)
-        return frozenset({_exact_argmax(net, partial.active, elig)})
+        return frozenset({_exact_argmax(_Engine(net).gain,
+                                         frozenset(partial.active), elig)})
 
 
 def greedy_adaptive_value(net: DicNetwork) -> float:
     """Exact expected spread of the adaptive greedy strategy whose marginal
-    gains are computed exactly (no Monte Carlo noise)."""
-    return _induction(net, _adaptive_moves(net, True))
+    gains are computed exactly (no Monte Carlo noise).  The gains and the
+    value recursion share one engine's round outcomes."""
+    engine = _Engine(net)
+    return engine.solve(_adaptive_moves(net, engine.gain))
 
 
 def optimal_adaptive_value(net: DicNetwork, pattern) -> float:
@@ -330,13 +325,13 @@ def optimal_adaptive_value(net: DicNetwork, pattern) -> float:
     if isinstance(pattern, str):
         if pattern != "adaptive":
             raise ValueError(f"unknown pattern {pattern!r}")
-        return _induction(net, _adaptive_moves(net, False))
+        return _Engine(net).solve(_adaptive_moves(net))
     schedule = tuple(int(a) for a in pattern)
     if sum(schedule) > net.budget:
         raise ValueError("schedule exceeds budget")
     if schedule and schedule[0] < 1 and sum(schedule) > 0:
         raise ValueError("first scheduled step must seed at least one node")
-    return _induction(net, _pattern_moves(net, schedule))
+    return _Engine(net).solve(_pattern_moves(net, schedule))
 
 
 def enumerate_schedules(budget: int, max_steps: int):

@@ -74,7 +74,7 @@ def sample_full(net: DicNetwork, rng) -> FullRealization:
     return FullRealization(seeds[0].tobytes(), success[0].tobytes())
 
 
-def probability_of(net: DicNetwork, x: FullRealization) -> float:
+def log_probability(net: DicNetwork, x: FullRealization) -> float:
     """Log-probability of a full realization under the network's law: each
     seed bit under its node's activation, each success bit under its edge's
     mean propagation probability."""

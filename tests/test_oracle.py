@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from dicnet.oracle import (EnumerationGuard, ExactGainPolicy, _check_guard,
                            enumerate_schedules, exact_marginal_gain,
                            exact_policy_value, greedy_adaptive_value,
                            optimal_adaptive_value, realization_count)
-from dicnet.realization import probability_of
+from dicnet.realization import log_probability
 from dicnet.strategies import StaticSeedListPolicy, _eligible_nodes
 
 
@@ -76,7 +77,7 @@ def test_enumeration_masses_sum_to_one():
         mass[x] = mass.get(x, 0.0) + p
     for x, p in mass.items():
         want = math.log(p) if p > 0.0 else float("-inf")
-        assert want == pytest.approx(probability_of(net, x))
+        assert want == pytest.approx(log_probability(net, x))
     # activation 1.0 zeroes every seed-failure branch: only the four edge
     # branches (two values x success bit) carry mass, and they yield the
     # two success bits
@@ -108,9 +109,69 @@ def test_exact_marginal_gain():
 
 
 def test_exact_marginal_gain_edge_guard():
+    # the gain's guard is the engine's one guard: the message names the
+    # realization count it checked
     net = star_network(25, 0.5)
-    with pytest.raises(EnumerationGuard):
+    with pytest.raises(EnumerationGuard) as exc:
         exact_marginal_gain(net, set(), 0)
+    assert exc.value.count == realization_count(net)
+
+
+def _reference_gain(net, active, v):
+    """v's activation probability times its expected reach among inactive
+    nodes, by enumerating every live subset of the edges it could reach,
+    with a breadth-first search in each: the reference for the belief
+    engine's gains."""
+    relevant = []
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for eidx, w in net.out_edges[u]:
+            if w in active:
+                continue
+            relevant.append(eidx)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    k = len(relevant)
+    means = net.edge_arrays[2][relevant].tolist()
+    expected = 0.0
+    for mask in range(2 ** k):
+        prob = 1.0
+        live = set()
+        for i in range(k):
+            if mask >> i & 1:
+                prob *= means[i]
+                live.add(relevant[i])
+            else:
+                prob *= 1.0 - means[i]
+        if prob == 0.0:
+            continue
+        reach = {v}
+        queue = deque((v,))
+        while queue:
+            u = queue.popleft()
+            for eidx, w in net.out_edges[u]:
+                if eidx in live and w not in reach and w not in active:
+                    reach.add(w)
+                    queue.append(w)
+        expected += prob * len(reach)
+    return net.activation[v] * expected
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_gain_matches_the_live_subset_reference(seed):
+    # the belief engine's drained cascade against the live-edge reach, at
+    # every active set and every eligible node
+    net = random_tiny_network(np.random.default_rng(seed), max_nodes=5,
+                              budget=3)
+    for r in range(net.node_count + 1):
+        for active in itertools.combinations(range(net.node_count), r):
+            for v in _eligible_nodes(net, active):
+                assert abs(exact_marginal_gain(net, active, v)
+                           - _reference_gain(net, set(active), v)) <= 1e-12
 
 
 def test_adaptive_value_simple_instances():
@@ -159,6 +220,14 @@ def test_enumerate_schedules():
 def test_greedy_matches_optimal_on_the_path():
     net = _three_path()
     assert greedy_adaptive_value(net) == pytest.approx(1.5376, abs=1e-9)
+
+
+def test_g1_chain_values_are_pinned_bit_for_bit():
+    # five edges of two-atom laws: greedy's gains run deep cascades with
+    # reveals, and greedy picks the optimum's seeds
+    net = fixture_g1().with_budget(2)
+    assert greedy_adaptive_value(net) == 1.8613359616000007
+    assert optimal_adaptive_value(net, "adaptive") == 1.8613359616000007
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
@@ -284,7 +353,8 @@ def _reference_induction(net, moves):
 
 
 def _reference_adaptive_moves(net, greedy):
-    """The adaptive rule with greedy's pick computed at every state."""
+    """The adaptive rule with greedy's pick computed at every state, from
+    the live-subset reference gains."""
 
     def moves(belief, step):
         active, spent, pending = belief
@@ -294,7 +364,9 @@ def _reference_adaptive_moves(net, greedy):
         if spent >= net.budget or not elig:
             return None
         if greedy:
-            return ((_exact_argmax(net, active, elig),),), step
+            pick = _exact_argmax(lambda a, v: _reference_gain(net, a, v),
+                                 active, elig)
+            return ((pick,),), step
         return [(v,) for v in elig], step
 
     return moves
@@ -303,8 +375,9 @@ def _reference_adaptive_moves(net, greedy):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 3))
 def test_induction_matches_the_reference_bit_for_bit(seed, max_nodes, budget):
-    # memoised rounds, the reveal table, the one-branch shortcut and
-    # greedy's pick per active set change no value in its last bit
+    # memoised rounds, the reveal table, the one-branch shortcut, greedy's
+    # pick per active set and its gains from the belief engine change no
+    # value in its last bit
     net = random_tiny_network(np.random.default_rng(seed),
                               max_nodes=max_nodes, budget=budget)
     assume(any(len(dist.values) == 2 for _, _, dist in net.edges))

@@ -14,7 +14,7 @@ from dicnet.fixtures import (TWO_POINT, fixture_g1, random_tiny_network,
 from dicnet.model import (DicNetwork, fixed_distribution,
                           quantize_exponential)
 from dicnet.realization import (FullRealization, PartialRealization,
-                                probability_of, sample_full)
+                                log_probability, sample_full)
 
 
 def _sample_full_reference(net, rng):
@@ -96,19 +96,19 @@ def test_sample_full_marginal_laws():
     assert edge_hits / reps == pytest.approx(0.48, abs=3 * 0.5 / math.sqrt(reps))
 
 
-def test_probability_of_hand_values():
+def test_log_probability_hand_values():
     net = two_node_fixture()  # activation 1.0, budget 1, edge TWO_POINT
     # P = 1 * 1 * (0.8 * 0.4 + 0.2 * 0.8): the edge succeeds with its mean
     x = FullRealization(bytes([1, 1]), bytes([1]))
-    assert probability_of(net, x) == pytest.approx(math.log(0.48))
+    assert log_probability(net, x) == pytest.approx(math.log(0.48))
     x = FullRealization(bytes([1, 1]), bytes([0]))
-    assert probability_of(net, x) == pytest.approx(math.log(0.52))
+    assert log_probability(net, x) == pytest.approx(math.log(0.52))
     # zero-probability coordinate: seeding failure under activation 1.0
     x = FullRealization(bytes([0, 1]), bytes([1]))
-    assert probability_of(net, x) == float("-inf")
+    assert log_probability(net, x) == float("-inf")
 
 
-def test_probability_of_sums_to_one_over_support():
+def test_log_probability_sums_to_one_over_support():
     # every realization of a 2-node net at budget 1
     net = DicNetwork(2, (0.3, 0.6), ((0, 1, TWO_POINT),), 1)
     total = 0.0
@@ -116,5 +116,5 @@ def test_probability_of_sums_to_one_over_support():
         for s1 in (0, 1):
             for succ in (0, 1):
                 x = FullRealization(bytes([s0, s1]), bytes([succ]))
-                total += math.exp(probability_of(net, x))
+                total += math.exp(log_probability(net, x))
     assert total == pytest.approx(1.0, abs=1e-12)
