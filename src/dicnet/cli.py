@@ -188,6 +188,11 @@ def cmd_run(args, given) -> int:
                               f"choose from {', '.join(STRATEGIES)}")
     budgets = _budget_grid(args.budgets)
     base = _resolve_network(args, given, budgets)
+    # a repeat would duplicate cells; the budgets are within the node count
+    for flag, items in (("--strategies", strategies), ("--budgets", budgets)):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigError(f"{flag} repeats {item!r}")
     out = args.out
     summary_path = out + ".summary.csv"
     meta_path = out + ".meta.json"
@@ -295,8 +300,7 @@ def cmd_oracle(args, given) -> int:
         for sched in enumerate_schedules(net.budget, net.node_count):
             val = optimal_adaptive_value(net, sched)
             mark = "ok" if val <= best + 1e-9 else "VIOLATION"
-            if mark != "ok":
-                ok = False
+            ok = ok and mark == "ok"
             print(f"pattern {sched}: {val:.6f} vs adaptive {best:.6f} [{mark}]")
         return 0 if ok else 1
     if args.subject == "theorem2":

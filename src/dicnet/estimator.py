@@ -57,20 +57,23 @@ def substream(master_seed: int, index: int, purpose: int = 0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_delta(delta: float):
+    if not (0 < delta < 1):
+        raise ValueError("delta must be in (0, 1)")
+
+
 def hoeffding_samples(n: float, eps: float, delta: float) -> int:
     """Minimal replication count R such that the sample mean of [0, n]-bounded
     draws satisfies P(|mean - mu| >= eps) <= delta."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not (0 < delta < 1):
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     return math.ceil(n * n * math.log(2.0 / delta) / (2.0 * eps * eps))
 
 
 def half_width(n: float, replications: int, delta: float) -> float:
     """Hoeffding confidence half-width for [0, n]-bounded samples."""
-    if not (0 < delta < 1):
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     return n * math.sqrt(math.log(2.0 / delta) / (2.0 * replications))
 
 
@@ -226,6 +229,7 @@ def estimate_policy_spread(net: DicNetwork, policy_factory, replications: int,
     draw from its stream, every one is taken to seed that list: its
     command's spread is counted a block at a time, and only the command goes
     to the workers."""
+    _check_delta(delta)                 # before any replication runs
     rng = substream(master_seed, 0, PURPOSE_POLICY)
     policy = policy_factory(rng)
     state = rng.bit_generator.state     # a draw moves the counter

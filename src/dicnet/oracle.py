@@ -160,16 +160,17 @@ def _round_branches(net: DicNetwork, active, pending, seeds, reveals):
 
 
 class _Engine:
-    """One call's belief engine.  A round's outcomes do not depend on the
-    attempts spent, so they are memoised under (active, pending, seeds), and
-    the value recursion and greedy's gains share them.  The memo lives as
-    long as the engine: one induction or one greedy decision."""
+    """One call's or one policy's belief engine.  A round's outcomes do not
+    depend on the attempts spent, so they are memoised under (active,
+    pending, seeds), and the value recursion and greedy's gains and picks
+    share them.  No memo outlives the engine."""
 
     def __init__(self, net: DicNetwork):
         _check_guard(net)
         self.net = net
         self.rounds: dict = {}
         self.drained: dict = {}
+        self.picks: dict = {}
         self.reveals = [tuple(((eidx, value), mass)
                               for value, mass in zip(dist.values, dist.masses))
                         for eidx, (_, _, dist) in enumerate(net.edges)]
@@ -197,6 +198,13 @@ class _Engine:
         active count now."""
         return sum(p * self.drain(a, d) for p, a, d
                    in self.branches(active, (), (v,))) - len(active)
+
+    def pick(self, active):
+        """Greedy's node: `_exact_argmax` of `gain`, once per active set."""
+        if active not in self.picks:
+            self.picks[active] = _exact_argmax(
+                self.gain, active, _eligible_nodes(self.net, active))
+        return self.picks[active]
 
     def solve(self, moves) -> float:
         """Backward induction over (belief, step) states.
@@ -236,11 +244,9 @@ def exact_marginal_gain(net: DicNetwork, active, v) -> float:
     return _Engine(net).gain(frozenset(active), v)
 
 
-def _adaptive_moves(net: DicNetwork, gain=None):
+def _adaptive_moves(net: DicNetwork, pick=None):
     """One seed at each quiescence until the budget runs out: the best
-    eligible node for the optimum or, given `gain(active, v)`, greedy's node
-    of largest gain, computed once per active set."""
-    picks: dict = {}
+    eligible node for the optimum, or the node `pick(active)` gives."""
 
     def moves(belief, step):
         active, spent, pending = belief
@@ -249,10 +255,8 @@ def _adaptive_moves(net: DicNetwork, gain=None):
         elig = _eligible_nodes(net, active)
         if spent >= net.budget or not elig:
             return None
-        if gain is not None:
-            if active not in picks:
-                picks[active] = _exact_argmax(gain, active, elig)
-            return ((picks[active],),), step
+        if pick is not None:
+            return ((pick(active),),), step
         return [(v,) for v in elig], step
 
     return moves
@@ -288,13 +292,13 @@ def _exact_argmax(gain, active, eligible):
 class ExactGainPolicy:
     """Adaptive greedy with exactly computed conditional gains.
 
-    Behaves like the Monte Carlo greedy policy but scores each candidate
-    with the belief engine's exact gain, so its runs are deterministic given
-    the realization.  Each decision builds one engine, so its candidates
-    share round outcomes.
+    Behaves like the Monte Carlo greedy policy but seeds its engine's
+    `pick`, so its runs are deterministic given the realization.  The
+    engine is built with the policy, so every run it plays shares one memo.
     """
 
-    def __init__(self):
+    def __init__(self, net: DicNetwork):
+        self.engine = _Engine(net)
         self.gain_evaluations = 0
 
     def decide(self, net, partial):
@@ -304,16 +308,15 @@ class ExactGainPolicy:
         if not elig:
             return None
         self.gain_evaluations += len(elig)
-        return frozenset({_exact_argmax(_Engine(net).gain,
-                                         frozenset(partial.active), elig)})
+        return frozenset({self.engine.pick(frozenset(partial.active))})
 
 
 def greedy_adaptive_value(net: DicNetwork) -> float:
     """Exact expected spread of the adaptive greedy strategy whose marginal
-    gains are computed exactly (no Monte Carlo noise).  The gains and the
+    gains are computed exactly (no Monte Carlo noise).  Its picks and the
     value recursion share one engine's round outcomes."""
     engine = _Engine(net)
-    return engine.solve(_adaptive_moves(net, engine.gain))
+    return engine.solve(_adaptive_moves(net, engine.pick))
 
 
 def optimal_adaptive_value(net: DicNetwork, pattern) -> float:

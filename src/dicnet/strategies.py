@@ -78,10 +78,7 @@ class StaticSeedListPolicy:
         if self.done:
             return None
         self.done = True
-        take = self.seeds[:net.budget]
-        if not take:
-            return None
-        return frozenset(take)
+        return frozenset(self.seeds[:net.budget]) or None
 
 
 # module-level so that functools.partial(...) of it pickles for workers
@@ -179,7 +176,7 @@ def sample_worlds(net: DicNetwork, replications: int, rng):
             g = len(group)
             rows, edges = np.divmod(
                 _bernoulli_positions(gen, replications * g, float(p)), g)
-            edges = group[edges]
+            edges = group[edges]    # frees the divmod array before the yield
             yield rows, edges
 
     return _flat_keys(net, live(), replications)
@@ -391,18 +388,18 @@ class AGreedyPolicy:
     All gains within one run are estimated on a single batch of live-edge
     worlds sampled at the first decision (common random numbers).  As the
     active set grows each candidate's estimated gain can only shrink, so
-    cached gains are valid upper bounds and the lazy queue selects exactly
-    the same node an exhaustive re-evaluation would.  Eligibility only
-    shrinks too (it is the inactive candidates, and the active set only
-    grows), so the queue is filled once, at that first decision.
+    cached gains are valid upper bounds and the lazy queue, the one pick
+    rule, selects exactly the node an exhaustive argmax of `world_gain`
+    would, ties to the smallest id.  Eligibility only shrinks too (it is the
+    inactive `candidates`, and the active set only grows), so the queue is
+    filled once, at that first decision.
     """
 
     def __init__(self, net: DicNetwork, replications: int, rng,
-                 celf: bool = True, candidates=None):
+                 candidates=None):
         self.net = net
         self.replications = replications
         self.rng = rng
-        self.celf = celf
         self.candidates = (frozenset(range(net.node_count))
                            if candidates is None else frozenset(candidates))
         self.step = 0
@@ -431,7 +428,7 @@ class AGreedyPolicy:
         for u in newly:
             flags[u::n] |= 1
         self._flagged |= newly
-        if first and self.celf:
+        if first:
             # one kernel pass scores the whole first fill; re-evaluations of
             # single candidates search the batch
             reps = self.replications
@@ -441,19 +438,10 @@ class AGreedyPolicy:
             act = self.net.activation
             self._heap = [(-(act[v] * totals[v] / reps), v, 0) for v in elig]
             heapq.heapify(self._heap)
-        if self.celf:
-            # the heap holds candidates only, so an ineligible one is active
-            chosen, gain = _lazy_forward(self._heap, self.step, self._gain,
-                                         active)
-            # keep the chosen node queued with its latest gain for later steps
-            heapq.heappush(self._heap, (-gain, chosen, self.step))
-        else:
-            chosen, best = None, -1.0
-            # ascending ids: ties go to the smallest
-            for v in _eligible_nodes(net, active, self.candidates):
-                g = self._gain(v)
-                if g > best:
-                    chosen, best = v, g
+        # the heap holds candidates only, so an ineligible one is active
+        chosen, gain = _lazy_forward(self._heap, self.step, self._gain, active)
+        # keep the chosen node queued with its latest gain for later steps
+        heapq.heappush(self._heap, (-gain, chosen, self.step))
         self.step += 1
         return frozenset({chosen})
 

@@ -24,6 +24,7 @@ from dicnet.oracle import (build_auxiliary, check_properties,
 from dicnet.realization import sample_full
 from dicnet.strategies import (AGreedyPolicy, RandomPolicy, h_greedy_prune,
                                static_greedy_select, static_seed_factory)
+from test_strategies import _ExhaustiveGreedy
 
 
 def _report(number, ok, detail):
@@ -162,8 +163,8 @@ def test_criterion_5_celf_equivalence():
     for t in range(20):
         net = _celf_instance(t)
         x = sample_full(net, substream(50 + t, 0, 0))
-        lazy = AGreedyPolicy(net, 200, substream(50 + t, 0, 1), celf=True)
-        full = AGreedyPolicy(net, 200, substream(50 + t, 0, 1), celf=False)
+        lazy = AGreedyPolicy(net, 200, substream(50 + t, 0, 1))
+        full = _ExhaustiveGreedy(net, 200, substream(50 + t, 0, 1))
         if run_policy(net, lazy, x).seeds == run_policy(net, full, x).seeds:
             equal += 1
         if lazy.gain_evaluations < full.gain_evaluations:

@@ -148,6 +148,31 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()       # failed runs leave no file
 
 
+def test_run_rejects_a_repeated_strategy_or_budget(tmp_path, capsys):
+    # a repeat would write rows with duplicate (strategy, budget,
+    # replication) keys; typed or from --config, it exits 2 with one line
+    # naming it before any file is written
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "cfg.json"
+    base = ["run", "--fixture", "g1", "--reps", "2", "--out", str(out)]
+    cases = ((["--strategies", "random,random", "--budgets", "1"], {},
+              "error: --strategies repeats 'random'\n"),
+             (["--budgets", "1,1", "--strategies", "random"], {},
+              "error: --budgets repeats 1\n"),
+             (["--config", str(cfg)], {"strategies": "greedy, a-greedy,greedy"},
+              "error: --strategies repeats 'greedy'\n"),
+             (["--config", str(cfg)], {"budgets": "2,1,3,1"},
+              "error: --budgets repeats 1\n"))
+    for extra, config, message in cases:
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([*base, *extra]) == 2
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.glob("r.csv*")) == []
+    assert main([*base, "--budgets", "1,2", "--strategies", "random"]) == 0
+    assert len(_read_rows(out)) == 1 + 2 * 2
+
+
 def test_exit_code_enumeration_guard(tmp_path):
     net_path = str(tmp_path / "big.json")
     save_network(generate_power_law(40, 200, 1, parse_preset("f1:0.1"), 2),

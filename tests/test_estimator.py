@@ -170,6 +170,21 @@ def test_estimate_one_node_coin():
     assert est.mean == pytest.approx(0.5, abs=0.01)
 
 
+def test_estimate_rejects_delta_before_any_run(monkeypatch):
+    # a bad confidence level fails at once, not after every replication ran
+    def no_run(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(dicnet.estimator, "run_policy", no_run)
+    monkeypatch.setattr(dicnet.estimator, "_static_spread_total", no_run)
+    net = two_node_fixture()
+    for factory in (RandomPolicy, functools.partial(static_seed_factory, [0])):
+        for delta in (1.5, 1.0, 0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                estimate_policy_spread(net, factory, 20000, master_seed=1,
+                                       delta=delta)
+
+
 def test_estimate_worker_equality():
     # the block-batched static path and the driven path alike
     g1 = fixture_g1()

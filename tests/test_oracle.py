@@ -248,7 +248,8 @@ def test_greedy_induction_agrees_with_simulator_policy():
     for t in range(6):
         net = random_tiny_network(np.random.default_rng(700 + t))
         via_induction = greedy_adaptive_value(net)
-        via_simulator = exact_policy_value(net, ExactGainPolicy)
+        policy = ExactGainPolicy(net)   # one memo across every realization
+        via_simulator = exact_policy_value(net, lambda: policy)
         assert via_induction == pytest.approx(via_simulator, abs=1e-9)
 
 
@@ -393,7 +394,7 @@ def test_induction_matches_the_reference_bit_for_bit(seed, max_nodes, budget):
 def test_exact_gain_policy_runs():
     net = _three_path()
     x = next(iter(enumerate_realizations(net)))[0]
-    policy = ExactGainPolicy()
+    policy = ExactGainPolicy(net)
     run = run_policy(net, policy, x)
     assert policy.gain_evaluations > 0
     assert run.seeds != ()

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dicnet.diffusion
@@ -454,14 +454,42 @@ def test_a_greedy_waits_out_cascades():
     assert run.spread == 5
 
 
+class _ExhaustiveGreedy:
+    """Adaptive greedy as an exhaustive argmax over the batch AGreedyPolicy
+    draws from the same rng: bit 0 set on the active nodes' keys, every
+    eligible candidate scored by `world_gain` at every decision, ties to the
+    smallest id, and one gain evaluation counted per candidate scored."""
+
+    def __init__(self, net, replications, rng, candidates=None):
+        self.replications = replications
+        self.rng = rng
+        self.candidates = candidates
+        self.worlds = None
+        self.gain_evaluations = 0
+
+    def decide(self, net, partial):
+        if not observably_quiescent(net, partial):
+            return EMPTY_COMMAND
+        elig = _eligible_nodes(net, partial.active, self.candidates)
+        if not elig:
+            return None
+        if self.worlds is None:
+            self.worlds = sample_worlds(net, self.replications, self.rng)
+        for u in partial.active:
+            self.worlds[2][u::net.node_count] |= 1
+        self.gain_evaluations += len(elig)
+        gains = [world_gain(net, self.worlds, v) for v in elig]
+        return frozenset({elig[gains.index(max(gains))]})
+
+
 def test_celf_matches_exhaustive_argmax():
     # the lazy queue must reproduce the exhaustive argmax selections exactly
     for t in range(12):
         net = random_tiny_network(np.random.default_rng(300 + t),
                                   max_nodes=5, budget=3)
         x = sample_full(net, np.random.default_rng(400 + t))
-        lazy = AGreedyPolicy(net, 150, np.random.default_rng(500 + t), celf=True)
-        full = AGreedyPolicy(net, 150, np.random.default_rng(500 + t), celf=False)
+        lazy = AGreedyPolicy(net, 150, np.random.default_rng(500 + t))
+        full = _ExhaustiveGreedy(net, 150, np.random.default_rng(500 + t))
         run_lazy = run_policy(net, lazy, x)
         run_full = run_policy(net, full, x)
         assert run_lazy.seeds == run_full.seeds, f"instance {t}"
@@ -844,7 +872,7 @@ def test_lazy_queues_match_exhaustive_argmax(seed):
     draw = int(rng.integers(2 ** 32))
     x = sample_full(net, rng)
     lazy = AGreedyPolicy(net, 60, np.random.default_rng(draw))
-    full = AGreedyPolicy(net, 60, np.random.default_rng(draw), celf=False)
+    full = _ExhaustiveGreedy(net, 60, np.random.default_rng(draw))
     reference = _ReferenceGreedy(60, np.random.default_rng(draw))
     trace = run_policy(net, reference, x).trace
     assert run_policy(net, lazy, x).trace == trace
@@ -881,18 +909,37 @@ def test_lazy_queues_match_exhaustive_argmax(seed):
     assert picked == expected
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2 ** 5 - 1))
+def test_h_greedy_queue_matches_exhaustive_argmax_on_candidates(seed, mask):
+    # h-greedy's rule: the lazy queue over a candidate subset picks what an
+    # exhaustive argmax over the same subset and worlds picks, with no more
+    # gain evaluations
+    rng = np.random.default_rng(seed)
+    net = random_tiny_network(rng, max_nodes=5, budget=3)
+    candidates = [v for v in range(net.node_count) if mask >> v & 1]
+    assume(candidates)
+    draw = int(rng.integers(2 ** 32))
+    x = sample_full(net, rng)
+    lazy = AGreedyPolicy(net, 60, np.random.default_rng(draw),
+                         candidates=candidates)
+    full = _ExhaustiveGreedy(net, 60, np.random.default_rng(draw),
+                             candidates=candidates)
+    assert run_policy(net, lazy, x).trace == run_policy(net, full, x).trace
+    assert lazy.gain_evaluations <= full.gain_evaluations
+
+
 def _first_decisions(net, x, seeds, replications, draw):
-    """The decisions of a fresh CELF a-greedy, a fresh exhaustive one and
-    the reference, each on rng `draw`, at the quiescent state that seeding
-    `seeds` on x and draining the cascade leaves; and that state's active
-    set."""
+    """The decisions of a fresh CELF a-greedy, a fresh `_ExhaustiveGreedy`
+    and the reference, each on rng `draw`, at the quiescent state that
+    seeding `seeds` on x and draining the cascade leaves; and that state's
+    active set."""
     state = start(net, x)
     step_round(state, frozenset(seeds))
     partial = run_to_quiescence(state).partial
     return [policy.decide(net, partial) for policy in (
         AGreedyPolicy(net, replications, np.random.default_rng(draw)),
-        AGreedyPolicy(net, replications, np.random.default_rng(draw),
-                      celf=False),
+        _ExhaustiveGreedy(net, replications, np.random.default_rng(draw)),
         _ReferenceGreedy(replications, np.random.default_rng(draw)))
     ], partial.active
 
